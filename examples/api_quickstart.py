@@ -3,7 +3,7 @@
 The public API revolves around three objects:
 
 1. a frozen, validated :class:`~repro.api.Scenario` (the model
-   configuration: exchange, n, t, failure model, engine, ...),
+   configuration: exchange, n, t, failure model, ...),
 2. a :class:`~repro.api.Session` that memoises every per-scenario artefact
    (model, state space, checker, spec formulas, synthesis fixpoints) behind
    one bounded cache, and
@@ -43,12 +43,11 @@ def main() -> None:
     print(f"synthesize: earliest condition time "
           f"{synthesis.earliest_condition_time}")
 
-    # --- batches amortise across scenarios and engines --------------------
+    # --- batches amortise across scenarios ------------------------------
     results = session.batch([
         ("check", floodset),
         ("check", floodset),               # a pure result-cache hit
         ("synthesize", emin),
-        ("check", floodset.with_engine("symbolic")),  # shares the space
     ])
     print(f"batch of {len(results)} answered; cache: "
           f"{session.stats().to_json()}")

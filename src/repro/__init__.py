@@ -3,9 +3,10 @@ in Consensus Protocols* (PODC 2025).
 
 The package provides:
 
-* an epistemic model checker and knowledge-based-program synthesizer under
-  the clock semantics of knowledge (:mod:`repro.core`), with a symbolic BDD
-  backend (:mod:`repro.symbolic`) selectable through :mod:`repro.engines`,
+* an epistemic model checker on packed per-level bitsets and a
+  knowledge-based-program synthesizer under the clock semantics of
+  knowledge (:mod:`repro.core`), with the set-based reference checker
+  (:class:`~repro.core.reference.SetChecker`) kept as the test oracle,
 * the information exchanges and failure models studied by the paper
   (:mod:`repro.exchanges`, :mod:`repro.failures`),
 * the concrete decision protocols from the literature
@@ -39,10 +40,8 @@ from repro.api import (
     result_from_json,
 )
 from repro.engines import DEFAULT_ENGINE, ENGINES, checker_for
-from repro.factory import build_checker, build_eba_model, build_sba_model
 from repro.core.synthesis import synthesize_eba, synthesize_sba
 from repro.core.checker import ModelChecker
-from repro.symbolic import SymbolicChecker
 from repro.systems.model import BAModel
 from repro.systems.space import build_space
 
@@ -54,14 +53,10 @@ __all__ = [
     "SynthesisResult",
     "build_model",
     "result_from_json",
-    "build_sba_model",
-    "build_eba_model",
-    "build_checker",
     "checker_for",
     "synthesize_sba",
     "synthesize_eba",
     "ModelChecker",
-    "SymbolicChecker",
     "BAModel",
     "build_space",
     "DEFAULT_ENGINE",

@@ -4,11 +4,10 @@ A store directory is a content-addressed map from query identity to
 versioned result JSON, shared safely between processes:
 
 * **Key schema.**  A result's identity is the triple ``(op,
-  Scenario.canonical_json(), results schema version)`` — the engine is part
-  of the canonical scenario encoding, so backends never share entries.  The
-  identity is serialised to canonical JSON and hashed (SHA-256) into the
-  file name; the identity is *also* stored inside the record and checked on
-  read, so a renamed or colliding file can never answer the wrong query.
+  Scenario.canonical_json(), results schema version)``.  The identity is
+  serialised to canonical JSON and hashed (SHA-256) into the file name;
+  the identity is *also* stored inside the record and checked on read, so
+  a renamed or colliding file can never answer the wrong query.
 
 * **Crash consistency.**  Writes go to a temporary file in the store
   directory and are published with ``os.replace`` — readers see either the
@@ -25,18 +24,17 @@ versioned result JSON, shared safely between processes:
 * **The store is bounded.**  With ``max_bytes``/``max_entries`` set, a
   compaction pass (:meth:`ArtefactStore.compact`) drops the least recently
   used entries — recency is file mtime, refreshed on every hit — until the
-  live entries (``results/`` plus ``artefacts/``) fit the bounds again, and
-  the store runs that pass itself every ``compact_interval`` writes.
+  live entries fit the bounds again, and the store runs that pass itself
+  every ``compact_interval`` writes.
   Compaction is safe under concurrent readers *in any process*: removal is
   a plain ``unlink``, and a reader that loses the race simply sees a miss —
   the same degraded path a crash or quarantine already exercises.  ``repro
   store stats|compact`` runs the scan/pass from the command line.
 
-* **Pickled artefacts are opt-in.**  Typed results are plain JSON and safe
-  to share.  Heavyweight build artefacts (levelled spaces) can also be
-  stored, pickled, under ``artefacts/`` — but only when the store is
-  constructed with ``allow_pickle=True``, because unpickling executes code
-  and is only safe for store directories the operator trusts end-to-end.
+* **Only JSON is read.**  Typed results are plain JSON.  Store directories
+  written by older builds may also hold pickled spaces under
+  ``artefacts/``; they count towards the bounds and compaction evicts them,
+  but nothing ever reads them, because unpickling runs code.
 
 ``repro serve --store DIR`` points the serving session here, so a restarted
 or second server process answers repeated queries from the store tier
@@ -50,7 +48,6 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import tempfile
 import threading
 import time
@@ -67,6 +64,7 @@ logger = logging.getLogger(__name__)
 STORE_FORMAT_VERSION = 1
 
 _RESULTS_DIR = "results"
+#: Where older builds wrote pickled spaces; counted and compacted, never read.
 _ARTEFACTS_DIR = "artefacts"
 _QUARANTINE_DIR = "quarantine"
 
@@ -89,7 +87,6 @@ class ArtefactStore:
     def __init__(
         self,
         root,
-        allow_pickle: bool = False,
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
         compact_interval: int = 64,
@@ -104,7 +101,6 @@ class ArtefactStore:
                 f"compact_interval must be >= 1, got {compact_interval}"
             )
         self.root = Path(root)
-        self.allow_pickle = bool(allow_pickle)
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self._compact_interval = compact_interval
@@ -126,7 +122,7 @@ class ArtefactStore:
             "Persistent artefact-store events (hits, misses, writes, "
             "write_errors, quarantined, compactions, compacted)",
         )
-        for subdir in (_RESULTS_DIR, _ARTEFACTS_DIR, _QUARANTINE_DIR):
+        for subdir in (_RESULTS_DIR, _QUARANTINE_DIR):
             (self.root / subdir).mkdir(parents=True, exist_ok=True)
         if self.max_bytes is not None or self.max_entries is not None:
             # A restarted process trims an over-bound directory immediately
@@ -139,33 +135,20 @@ class ArtefactStore:
     def result_identity(op: str, scenario_key: str) -> str:
         """The canonical identity string of one result entry.
 
-        ``scenario_key`` is :meth:`Scenario.canonical_json` output (engine
-        included); the results schema version is part of the identity, so a
-        schema bump starts a disjoint namespace instead of serving stale
-        shapes.
+        ``scenario_key`` is :meth:`Scenario.canonical_json` output; the
+        results schema version is part of the identity, so a schema bump
+        starts a disjoint namespace instead of serving stale shapes.
         """
         return json.dumps(
             {"op": op, "scenario": scenario_key, "schema_version": SCHEMA_VERSION},
             sort_keys=True, separators=(",", ":"),
         )
 
-    @staticmethod
-    def artefact_identity(kind: str, key: str) -> str:
-        """The canonical identity string of one pickled-artefact entry."""
-        return json.dumps(
-            {"kind": kind, "key": key, "format": STORE_FORMAT_VERSION},
-            sort_keys=True, separators=(",", ":"),
-        )
-
-    def _path_for(self, subdir: str, identity: str, suffix: str) -> Path:
-        digest = hashlib.sha256(identity.encode()).hexdigest()
-        return self.root / subdir / f"{digest}{suffix}"
-
     def result_path(self, op: str, scenario_key: str) -> Path:
         """Where the record for ``(op, scenario)`` lives (exists or not)."""
-        return self._path_for(
-            _RESULTS_DIR, self.result_identity(op, scenario_key), ".json"
-        )
+        identity = self.result_identity(op, scenario_key)
+        digest = hashlib.sha256(identity.encode()).hexdigest()
+        return self.root / _RESULTS_DIR / f"{digest}.json"
 
     # ------------------------------------------------------------- plumbing
 
@@ -477,49 +460,3 @@ class ArtefactStore:
             return (f"payload schema version {result.get('schema_version')!r} "
                     f"(this build reads {SCHEMA_VERSION})")
         return None
-
-    # ---------------------------------------------- pickled artefacts (opt-in)
-
-    def put_artefact(self, kind: str, key: str, artefact: object) -> bool:
-        """Persist one pickled build artefact; no-op unless ``allow_pickle``."""
-        if not self.allow_pickle:
-            return False
-        identity = self.artefact_identity(kind, key)
-        path = self._path_for(_ARTEFACTS_DIR, identity, ".pkl")
-        try:
-            data = pickle.dumps({"identity": identity, "artefact": artefact})
-        except Exception as exc:  # unpicklable artefacts degrade, never raise
-            logger.warning("artefact store: cannot pickle %s artefact: %s",
-                           kind, exc)
-            self._count("write_errors")
-            return False
-        return self._atomic_write(path, data)
-
-    def get_artefact(self, kind: str, key: str) -> Optional[object]:
-        """The stored artefact for ``(kind, key)``; None unless ``allow_pickle``."""
-        if not self.allow_pickle:
-            return None
-        identity = self.artefact_identity(kind, key)
-        path = self._path_for(_ARTEFACTS_DIR, identity, ".pkl")
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            self._count("misses")
-            return None
-        except OSError as exc:  # pragma: no cover - unreadable, not absent
-            self.quarantine(path, f"unreadable: {exc}")
-            self._count("misses")
-            return None
-        try:
-            record = pickle.loads(raw)
-        except Exception as exc:
-            self.quarantine(path, f"corrupt pickle: {exc}")
-            self._count("misses")
-            return None
-        if not isinstance(record, dict) or record.get("identity") != identity:
-            self.quarantine(path, "key mismatch (file does not answer this query)")
-            self._count("misses")
-            return None
-        self._count("hits")
-        self._touch(path)
-        return record.get("artefact")

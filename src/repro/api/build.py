@@ -4,8 +4,7 @@ These are the pure builders behind the facade: :func:`build_model` turns a
 scenario into the Byzantine-Agreement model ``(E, F)`` and
 :func:`literature_protocol` picks the concrete protocol from the literature
 that the paper model-checks for that exchange (the revised/optimal variant
-when the scenario's ``optimal_protocol`` flag is set).  The deprecated
-``repro.factory`` constructors are thin shims over these functions.
+when the scenario's ``optimal_protocol`` flag is set).
 """
 
 from __future__ import annotations

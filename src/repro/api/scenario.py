@@ -2,8 +2,10 @@
 
 A scenario names everything an epistemic query needs — the information
 exchange, the system size ``(n, t)``, the value domain, the failure model,
-the satisfaction engine, an optional horizon override and the
-protocol-variant flag — and is validated once, at construction.  It is
+an optional horizon override and the protocol-variant flag — and is
+validated once, at construction.  Its ``engine`` field is always
+``"bitset"``: it stays in the canonical form so store and journal keys are
+unchanged, and any other name is rejected.  It is
 frozen and hashable, so it can key caches directly, and it has a canonical
 JSON form (:meth:`Scenario.canonical_json`) that replaces the hand-rolled
 ``(task, params)`` store keys: two parameter dictionaries that mean the same
@@ -24,7 +26,7 @@ The scenario/task mapping is bidirectional:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.engines import DEFAULT_ENGINE, validate_engine
@@ -139,10 +141,6 @@ class Scenario:
     def synthesis_task(self) -> str:
         """The synthesis task name for this scenario's family."""
         return f"{self.family}-synthesis"
-
-    def with_engine(self, engine: str) -> "Scenario":
-        """The same scenario under another satisfaction engine."""
-        return replace(self, engine=engine)
 
     # ----------------------------------------------------------- canonical form
 

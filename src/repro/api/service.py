@@ -642,7 +642,6 @@ def make_server(
 def _build_session(
     cache_size: int,
     store_dir: Optional[str],
-    store_pickle: bool,
     store_max_bytes: Optional[int] = None,
     store_max_entries: Optional[int] = None,
     preloaded: Optional[Preloader] = None,
@@ -651,8 +650,7 @@ def _build_session(
     store = None
     if store_dir is not None:
         store = ArtefactStore(
-            store_dir, allow_pickle=store_pickle,
-            max_bytes=store_max_bytes, max_entries=store_max_entries,
+            store_dir, max_bytes=store_max_bytes, max_entries=store_max_entries,
         )
     try:
         delay = float(os.environ.get(BUILD_DELAY_ENV) or 0.0)
@@ -757,7 +755,6 @@ def _run_worker(
     cache_size: int,
     verbose: bool,
     store_dir: Optional[str],
-    store_pickle: bool,
     store_max_bytes: Optional[int],
     store_max_entries: Optional[int],
     stats_dir: str,
@@ -771,8 +768,8 @@ def _run_worker(
     """
     server = make_server(
         session=_build_session(
-            cache_size, store_dir, store_pickle,
-            store_max_bytes, store_max_entries, preloaded=preloaded,
+            cache_size, store_dir, store_max_bytes, store_max_entries,
+            preloaded=preloaded,
         ),
         verbose=verbose,
         listening_socket=listening_socket,
@@ -819,7 +816,6 @@ def _serve_prefork(
     cache_size: int,
     verbose: bool,
     store_dir: Optional[str],
-    store_pickle: bool,
     store_max_bytes: Optional[int],
     store_max_entries: Optional[int],
     preload_cells=None,
@@ -895,8 +891,8 @@ def _serve_prefork(
             try:
                 code = _run_worker(
                     listening, f"worker-{index}", cache_size, verbose,
-                    store_dir, store_pickle, store_max_bytes,
-                    store_max_entries, str(stats_root), preloaded=preloader,
+                    store_dir, store_max_bytes, store_max_entries,
+                    str(stats_root), preloaded=preloader,
                 )
             except KeyboardInterrupt:  # pragma: no cover - pre-handler race
                 code = 0
@@ -977,7 +973,6 @@ def serve(
     cache_size: int = 64,
     verbose: bool = False,
     store_dir: Optional[str] = None,
-    store_pickle: bool = False,
     workers: int = 1,
     store_max_bytes: Optional[int] = None,
     store_max_entries: Optional[int] = None,
@@ -990,9 +985,7 @@ def serve(
     ``store_dir`` adds the persistent artefact-store tier: results built by
     this process are published there, and repeated queries — including ones
     first answered by *another* process sharing the directory — are served
-    from it without rebuilding.  ``store_pickle`` additionally persists
-    pickled space artefacts (only enable for trusted store directories).
-    ``store_max_bytes``/``store_max_entries`` bound the store: the session
+    from it without rebuilding.  ``store_max_bytes``/``store_max_entries`` bound the store: the session
     compacts it (oldest entries first, by mtime) as it writes.
 
     ``workers > 1`` runs the pre-fork front: the socket is bound once here,
@@ -1022,16 +1015,15 @@ def serve(
             raise ValueError("--workers requires a platform with os.fork")
         return _serve_prefork(
             host, port, workers, cache_size, verbose, store_dir,
-            store_pickle, store_max_bytes, store_max_entries,
-            preload_cells=preload_cells,
+            store_max_bytes, store_max_entries, preload_cells=preload_cells,
         )
     preloader = Preloader() if preload_cells else None
     ready_event = threading.Event() if preload_cells else None
     server = make_server(
         host, port,
         session=_build_session(
-            cache_size, store_dir, store_pickle,
-            store_max_bytes, store_max_entries, preloaded=preloader,
+            cache_size, store_dir, store_max_bytes, store_max_entries,
+            preloaded=preloader,
         ),
         verbose=verbose,
         ready_event=ready_event,

@@ -7,8 +7,8 @@ space, the satisfaction checker, the specification formulas, a synthesis
 fixpoint — dominates its cost, and the loose-kwargs API rebuilt all of them
 on every call.  A session keys every artefact by the relevant slice of the
 :class:`~repro.api.scenario.Scenario` and keeps them in one bounded cache,
-so repeated and batched queries amortise construction across grid cells,
-engines and query kinds.
+so repeated and batched queries amortise construction across grid cells
+and query kinds.
 
 Three properties make one session safe and useful to share across many
 concurrent clients (``repro serve`` runs exactly one):
@@ -31,8 +31,7 @@ concurrent clients (``repro serve`` runs exactly one):
 * **A persistent store tier.**  With an
   :class:`~repro.api.artefact_store.ArtefactStore`, result-cache misses
   consult the on-disk store before building and publish what they build, so
-  a restarted or second process starts warm; pickled spaces ride along when
-  the store opts into pickling.
+  a restarted or second process starts warm.
 
 Queries return the typed results of :mod:`repro.api.results`;
 :meth:`Session.stats` reports per-tier counters as an immutable snapshot.
@@ -40,7 +39,6 @@ Queries return the typed results of :mod:`repro.api.results`;
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -345,34 +343,25 @@ class Session:
 
     # ------------------------------------------------------------ store tier
 
-    @staticmethod
-    def _artefact_store_key(key: Tuple) -> str:
-        return json.dumps(key, sort_keys=False, separators=(",", ":"))
-
     def _store_get(self, key: Tuple):
-        """The persistent tier's answer for a cache key, or None."""
-        if self._store is None:
+        """The persistent tier's answer for a result key, or None.
+
+        Only typed results are persisted; every other artefact is rebuilt.
+        """
+        if self._store is None or key[0] != "result":
             return None
-        if key[0] == "result":
-            payload = self._store.get_result(key[1], key[2])
-            if payload is None:
-                return None
-            try:
-                return result_from_json(payload)
-            except (TypeError, ValueError):  # foreign/stale payload: rebuild
-                return None
-        if key[0] == "space" and self._store.allow_pickle:
-            return self._store.get_artefact("space", self._artefact_store_key(key))
-        return None
+        payload = self._store.get_result(key[1], key[2])
+        if payload is None:
+            return None
+        try:
+            return result_from_json(payload)
+        except (TypeError, ValueError):  # foreign/stale payload: rebuild
+            return None
 
     def _store_put(self, key: Tuple, value: object) -> None:
-        """Publish a freshly built artefact to the persistent tier."""
-        if self._store is None:
-            return
-        if key[0] == "result":
+        """Publish a freshly built result to the persistent tier."""
+        if self._store is not None and key[0] == "result":
             self._store.put_result(key[1], key[2], value.to_json())
-        elif key[0] == "space" and self._store.allow_pickle:
-            self._store.put_artefact("space", self._artefact_store_key(key), value)
 
     @property
     def store(self) -> Optional[ArtefactStore]:
@@ -472,11 +461,11 @@ class Session:
         """(space, protocol, horizon) under the literature protocol.
 
         The cache key (built by :func:`repro.runtime.plan.space_cache_key`)
-        excludes the engine — all satisfaction backends share one space per
-        (model, protocol, horizon, state budget).  A session with a
-        :class:`~repro.runtime.preload.Preloader` serves cache misses from
-        the preloaded artefacts when they cover the scenario's space at this
-        horizon (exactly, or as a prefix of a taller build).
+        names one space per (model, protocol, horizon, state budget).  A
+        session with a :class:`~repro.runtime.preload.Preloader` serves
+        cache misses from the preloaded artefacts when they cover the
+        scenario's space at this horizon (exactly, or as a prefix of a
+        taller build).
         """
         protocol = literature_protocol(scenario)
         horizon = self._horizon(scenario)
@@ -656,8 +645,6 @@ class Session:
         )
         if task != "sba-model-check":
             return result
-        # The verifier shares the checker's engine state (one symbolic
-        # encoder per scenario, not one for the spec and one for the guards).
         report = verify_sba_implementation(
             model, protocol, space=space, engine=scenario.engine, checker=checker
         )

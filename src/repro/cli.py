@@ -8,8 +8,6 @@ Examples::
     python -m repro report table3.jsonl --format csv
     python -m repro synthesize --exchange floodset --agents 3 --faulty 1
     python -m repro check --exchange floodset --agents 3 --faulty 2
-    python -m repro check --exchange floodset --agents 3 --faulty 2 --engine symbolic
-    python -m repro table3 --max-n 3 --engine symbolic --output table3-sym.jsonl
     python -m repro table2 --max-n 3 --no-share-spaces   # per-cell rebuild baseline
     python -m repro serve --port 8765
     python -m repro serve --workers 4 --preload table1:max-n=4
@@ -32,10 +30,10 @@ Tables 1–3, with ``TO`` entries for cases exceeding the time budget.  With
 ``--workers N`` cells run on a pool of N concurrent forked children; with
 ``--output FILE`` every completed cell is journalled so ``--resume`` can
 pick an interrupted sweep back up and ``report`` can re-render the results
-(text, JSON or CSV) without re-running anything.  ``--engine`` selects the
-satisfaction backend (bitset, symbolic BDD, or the set-based reference
-oracle); it is recorded in every journalled cell's key and in the spec
-record, so resumed grids never silently mix backends.
+(text, JSON or CSV) without re-running anything.  Every formula is
+evaluated by the packed-bitset engine; a journal whose cells or spec record
+name another engine (``symbolic`` or ``set``, removed backends) is refused
+with exit status 2 by ``report`` and ``--resume``.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from typing import Optional, Sequence
 from repro.api import Scenario, Session
 from repro.api.service import DEFAULT_HOST, DEFAULT_PORT, serve
 from repro.devtools.rules import RULE_CODES
-from repro.engines import DEFAULT_ENGINE, ENGINES
 from repro.failures import FAILURE_MODELS
 from repro.harness.runner import run_case
 from repro.harness.store import ResultStore
@@ -92,7 +89,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         num_values=getattr(args, "values", 2),
         failures=args.failures,
         optimal_protocol=getattr(args, "optimal", False),
-        engine=args.engine,
     )
 
 
@@ -142,15 +138,15 @@ def _render_result(result: TableResult, fmt: str) -> str:
 
 def _table_command(args: argparse.Namespace) -> int:
     if args.command == "table1":
-        spec = table1_spec(max_n=args.max_n, engine=args.engine)
+        spec = table1_spec(max_n=args.max_n)
     elif args.command == "table2":
-        spec = table2_spec(max_n=args.max_n, engine=args.engine)
+        spec = table2_spec(max_n=args.max_n)
     elif args.command == "table3":
-        spec = table3_spec(max_n=args.max_n, engine=args.engine)
+        spec = table3_spec(max_n=args.max_n)
     elif args.command == "ablation-temporal":
-        spec = ablation_temporal_only(max_n=args.max_n, engine=args.engine)
+        spec = ablation_temporal_only(max_n=args.max_n)
     elif args.command == "ablation-failures":
-        spec = ablation_failure_models(max_n=args.max_n, engine=args.engine)
+        spec = ablation_failure_models(max_n=args.max_n)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(args.command)
     if args.workers < 1:
@@ -279,7 +275,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         verbose=not args.quiet,
         store_dir=args.store,
-        store_pickle=args.store_pickle,
         workers=args.workers,
         store_max_bytes=args.store_max_bytes,
         store_max_entries=args.store_max_entries,
@@ -378,17 +373,6 @@ def _add_failures_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    # choices= validates the name the same way --failures is validated: an
-    # unknown engine exits with status 2 and the list of known backends.
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
-        help="satisfaction engine: the explicit packed-bitset engine (the "
-             "default), the symbolic BDD backend, or the set-based reference "
-             f"oracle (default: {DEFAULT_ENGINE})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -402,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-n", type=int, default=4, help="largest number of agents")
         _add_budget_arguments(sub)
         _add_grid_arguments(sub)
-        _add_engine_argument(sub)
         sub.set_defaults(func=_table_command)
 
     report = subparsers.add_parser(
@@ -426,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--faulty", type=int, required=True)
     synth.add_argument("--values", type=int, default=2)
     _add_failures_argument(synth)
-    _add_engine_argument(synth)
     synth.add_argument(
         "--minimise", choices=("auto", "qm", "espresso"), default="auto",
         help="condition-minimisation backend: exact Quine-McCluskey, the "
@@ -441,15 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--faulty", type=int, required=True)
     check.add_argument("--values", type=int, default=2)
     _add_failures_argument(check)
-    _add_engine_argument(check)
     check.add_argument("--optimal", action="store_true",
                        help="check the optimal (revised) literature protocol")
     check.add_argument("--timeout", type=float, default=600.0)
     check.add_argument(
         "--profile", action="store_true",
         help="time the hot kernels (bitset intersections, predecessor "
-             "images, BDD ite/and_exists) and print a per-kernel summary "
-             "table; equivalent to REPRO_PROFILE=1",
+             "images) and print a per-kernel summary table; equivalent to "
+             "REPRO_PROFILE=1",
     )
     check.set_defaults(func=_check_command)
 
@@ -468,10 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "published here and repeated queries (from this or "
                           "any other process sharing the directory) are "
                           "answered without rebuilding")
-    srv.add_argument("--store-pickle", action="store_true",
-                     help="also persist pickled space artefacts in --store "
-                          "(unpickling runs code: only for trusted store "
-                          "directories)")
     srv.add_argument("--workers", type=int, default=1,
                      help="serve from this many forked worker processes "
                           "accepting on one shared socket (default 1; use "
@@ -490,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--preload", metavar="SPEC", default=None,
                      help="build the state spaces of a scenario frontier "
                           "before serving, e.g. 'table1' or "
-                          "'table1:max-n=4,engine=bitset'; under --workers "
+                          "'table1:max-n=4'; under --workers "
                           "the build happens once pre-fork and every worker "
                           "shares it copy-on-write, and /health reports "
                           "ready: false until it completes")

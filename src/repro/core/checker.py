@@ -75,19 +75,37 @@ from repro.systems.space import LevelledSpace, Point
 SatSet = List[Set[int]]
 
 
-class PackedQueryMixin:
-    """Query helpers over a ``check_bits`` engine.
+class ModelChecker:
+    """Model checker for a (possibly partially built) levelled state space."""
 
-    Shared by every checker that exposes ``self.space`` and a packed
-    :meth:`check_bits` (the bitset and symbolic engines), so the query layer
-    — the satisfaction notions the rest of the stack consumes — cannot
-    drift between backends.  Engines with a cheaper native comparison may
-    override individual queries (the symbolic checker answers ``holds_*``
-    by BDD handle equality).
-    """
+    def __init__(self, space: LevelledSpace) -> None:
+        self.space = space
+        self._bit_cache: Dict[Formula, BitSat] = {}
+        self._set_cache: Dict[Formula, SatSet] = {}
 
-    def check_bits(self, formula: Formula) -> BitSat:  # pragma: no cover
-        raise NotImplementedError
+    # ----------------------------------------------------------------- queries
+
+    def check_bits(self, formula: Formula) -> BitSat:
+        """The packed satisfaction set of a closed formula (one int per level).
+
+        This is the engine's native representation; bit ``j`` of entry
+        ``time`` is set iff the formula holds at point ``(time, j)``.
+        """
+        check_positive(formula)
+        return self._eval(formula, {})
+
+    def check(self, formula: Formula) -> SatSet:
+        """The satisfaction set of a closed formula over all built levels.
+
+        Legacy adapter: unpacks :meth:`check_bits` into per-level
+        ``Set[int]`` objects.  The unpacked form is memoized as well, so
+        repeated calls return the same object.
+        """
+        cached = self._set_cache.get(formula)
+        if cached is None:
+            cached = to_level_sets(self.check_bits(formula))
+            self._set_cache[formula] = cached
+        return cached
 
     def holds_at(self, formula: Formula, point: Point) -> bool:
         """Whether the formula holds at a specific point."""
@@ -140,39 +158,6 @@ class PackedQueryMixin:
             for observation, block in masks.items()
             if not block & ~satisfied
         }
-
-
-class ModelChecker(PackedQueryMixin):
-    """Model checker for a (possibly partially built) levelled state space."""
-
-    def __init__(self, space: LevelledSpace) -> None:
-        self.space = space
-        self._bit_cache: Dict[Formula, BitSat] = {}
-        self._set_cache: Dict[Formula, SatSet] = {}
-
-    # ----------------------------------------------------------------- queries
-
-    def check_bits(self, formula: Formula) -> BitSat:
-        """The packed satisfaction set of a closed formula (one int per level).
-
-        This is the engine's native representation; bit ``j`` of entry
-        ``time`` is set iff the formula holds at point ``(time, j)``.
-        """
-        check_positive(formula)
-        return self._eval(formula, {})
-
-    def check(self, formula: Formula) -> SatSet:
-        """The satisfaction set of a closed formula over all built levels.
-
-        Legacy adapter: unpacks :meth:`check_bits` into per-level
-        ``Set[int]`` objects.  The unpacked form is memoized as well, so
-        repeated calls return the same object.
-        """
-        cached = self._set_cache.get(formula)
-        if cached is None:
-            cached = to_level_sets(self.check_bits(formula))
-            self._set_cache[formula] = cached
-        return cached
 
     # -------------------------------------------------------------- evaluation
 

@@ -7,7 +7,11 @@ the operator semantics from Section 2 of the paper, so it serves as
 
 * the **oracle** for the property tests in
   ``tests/property/test_bitset_equivalence.py`` (bitset and set evaluation
-  must agree on every operator over randomized spaces), and
+  must agree on every operator over randomized spaces) and
+  ``tests/property/test_synthesis_oracle.py`` (the same agreement and the
+  per-level synthesis evaluators on EBA and omission spaces; synthesis and
+  KBP verification give the same answers with those evaluators replaced by
+  set evaluation), and
 * the **baseline** for the performance benchmark
   ``benchmarks/test_perf_checker.py`` (which records the bitset engine's
   speedup into ``BENCH_checker.json``).

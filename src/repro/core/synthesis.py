@@ -27,18 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.bitset import bits_from_indices, blocks_within
+from repro.core.bitset import blocks_within
+from repro.core.checker import ModelChecker
 from repro.core.predicates import ConditionTable, build_predicate
-from repro.engines import DEFAULT_ENGINE, check_bits, checker_for, validate_engine
-from repro.logic.atoms import decides_now, init_is, some_decided_value
-from repro.logic.builders import big_or, common_belief_exists, neg
-from repro.logic.formula import EvEventually, Knows, Or
-from repro.symbolic.checker import (
-    SymbolicChecker,
-    eba_decide_zero_conditions,
-    sba_level_conditions,
-)
-from repro.symbolic.encode import SpaceEncoder
+from repro.engines import DEFAULT_ENGINE, validate_engine
+from repro.logic.atoms import decides_now
+from repro.logic.builders import big_or, neg
+from repro.logic.formula import EvEventually, Knows
 from repro.systems.actions import Action, JointAction, NOOP
 from repro.systems.model import BAModel
 from repro.systems.space import LevelledSpace
@@ -143,61 +138,6 @@ def _level_knowledge_conditions(
     return conditions
 
 
-def sba_condition_evaluator(
-    space: LevelledSpace, engine: str, growing: bool = True, encoder=None
-):
-    """A per-level evaluator of the SBA knowledge conditions for an engine.
-
-    Returns a callable ``level -> {(agent, value): bitmask}`` with the same
-    meaning as :func:`_level_knowledge_conditions`.  The bitset engine uses
-    the specialised per-level bitmask fixpoint; the symbolic engine its BDD
-    twin (sharing one :class:`~repro.symbolic.encode.SpaceEncoder` across
-    levels); the set engine evaluates the formula ``B^N_i CB_N ∃v`` on the
-    (possibly partial) space through the reference checker.
-
-    ``growing`` says whether the space may gain levels between calls (the
-    synthesis loop).  Over a completed space (``growing=False``, the
-    implementation verifier) the set engine shares one checker across
-    levels instead of re-running the whole-space fixpoint per level; the
-    bitset and symbolic evaluators cache on the space/encoder either way.
-
-    ``encoder`` optionally hands the symbolic engine an existing
-    :class:`~repro.symbolic.encode.SpaceEncoder` over the same space (e.g.
-    a :class:`~repro.symbolic.checker.SymbolicChecker`'s), so its per-level
-    relation and atom BDD caches are reused instead of rebuilt.
-    """
-    validate_engine(engine)
-    if engine == "bitset":
-        return lambda level: _level_knowledge_conditions(space, level)
-    if engine == "symbolic":
-        if encoder is None:
-            encoder = SpaceEncoder(space)
-        elif encoder.space is not space:
-            raise ValueError("the provided encoder is over a different space")
-        return lambda level: sba_level_conditions(encoder, level)
-
-    shared: List = []
-
-    def set_conditions(level: int) -> Dict[Tuple[int, int], int]:
-        if growing:
-            # A fresh reference checker per level: the space has grown since
-            # the previous level, so cached satisfaction sets would be stale.
-            checker = checker_for(space, "set")
-        else:
-            if not shared:
-                shared.append(checker_for(space, "set"))
-            checker = shared[0]
-        return {
-            (agent, value): bits_from_indices(
-                checker.check(common_belief_exists(agent, value))[level]
-            )
-            for agent in space.model.agents()
-            for value in space.model.values()
-        }
-
-    return set_conditions
-
-
 def synthesize_sba(
     model: BAModel,
     horizon: Optional[int] = None,
@@ -206,17 +146,16 @@ def synthesize_sba(
 ) -> SBASynthesisResult:
     """Synthesize the unique clock-semantics implementation of program ``P``.
 
-    ``engine`` selects the satisfaction backend used for the knowledge
-    conditions (see :mod:`repro.engines`); every engine produces the same
-    rule table and condition predicates.
+    ``engine`` is validated (see :mod:`repro.engines`); the knowledge
+    conditions are evaluated on packed bitsets.
     """
+    validate_engine(engine)
     space = LevelledSpace.initial(model, horizon=horizon, max_states=max_states)
     conditions = ConditionTable()
     rule = SynthesizedRule(model=model)
-    evaluate_conditions = sba_condition_evaluator(space, engine)
 
     for level in range(space.horizon + 1):
-        level_conditions = evaluate_conditions(level)
+        level_conditions = _level_knowledge_conditions(space, level)
         states = space.levels[level]
 
         for agent in model.agents():
@@ -310,76 +249,11 @@ def _decide_zero_conditions_at_level(
     return conditions
 
 
-class EBAZeroConditionEvaluator:
-    """Per-level evaluator of the EBA decide-0 conditions for an engine.
-
-    Calling the evaluator with a level returns ``{agent: bitmask}`` with the
-    same meaning as :func:`_decide_zero_conditions_at_level`; backends as in
-    :func:`sba_condition_evaluator`.  :meth:`make_checker` builds the
-    whole-space checker the decide-1 condition of the *same* pass should
-    use: for the symbolic engine it shares this evaluator's
-    :class:`~repro.symbolic.encode.SpaceEncoder`, so the per-level relation
-    and atom BDD caches are built once per pass.
-    """
-
-    def __init__(self, space: LevelledSpace, engine: str, growing: bool = True) -> None:
-        self.space = space
-        self.engine = validate_engine(engine)
-        self.growing = growing
-        self._encoder = None
-        self._set_checker = None
-        if engine == "symbolic":
-            self._encoder = SpaceEncoder(space)
-
-    def mark_complete(self) -> None:
-        """Declare that the space will not grow further.
-
-        Afterwards the set engine's per-level evaluations share one
-        checker (whole-space satisfaction sets stay valid) instead of
-        re-running the full fixpoint per level.
-        """
-        self.growing = False
-
-    def __call__(self, level: int) -> Dict[int, int]:
-        if self.engine == "bitset":
-            return _decide_zero_conditions_at_level(self.space, level)
-        if self.engine == "symbolic":
-            return eba_decide_zero_conditions(self._encoder, level)
-        if self.growing:
-            checker = checker_for(self.space, "set")
-        else:
-            if self._set_checker is None:
-                self._set_checker = checker_for(self.space, "set")
-            checker = self._set_checker
-        return {
-            agent: bits_from_indices(
-                checker.check(
-                    Or((init_is(agent, 0), Knows(agent, some_decided_value(0))))
-                )[level]
-            )
-            for agent in self.space.model.agents()
-        }
-
-    def make_checker(self):
-        """A whole-space checker for this engine, sharing any encoder state."""
-        if self._encoder is not None:
-            return SymbolicChecker(self.space, self._encoder)
-        return checker_for(self.space, self.engine)
-
-
-def eba_zero_condition_evaluator(
-    space: LevelledSpace, engine: str, growing: bool = True
-) -> EBAZeroConditionEvaluator:
-    """The per-level EBA decide-0 evaluator for an engine (see the class)."""
-    return EBAZeroConditionEvaluator(space, engine, growing=growing)
-
-
 def _eba_pass(
     model: BAModel,
     horizon: Optional[int],
     max_states: Optional[int],
     prior_rule: Optional[SynthesizedRule],
-    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[LevelledSpace, ConditionTable, SynthesizedRule]:
     """One whole-space pass of EBA synthesis.
 
@@ -392,10 +266,9 @@ def _eba_pass(
     space = LevelledSpace.initial(model, horizon=horizon, max_states=max_states)
     conditions = ConditionTable()
     building_rule = SynthesizedRule(model=model)
-    evaluate_zero_conditions = eba_zero_condition_evaluator(space, engine)
 
     for level in range(space.horizon + 1):
-        zero_conditions = evaluate_zero_conditions(level)
+        zero_conditions = _decide_zero_conditions_at_level(space, level)
         for agent in model.agents():
             groups = space.observation_groups(level, agent)
             decision_table: Dict[Tuple, Action] = {}
@@ -416,12 +289,8 @@ def _eba_pass(
         if level < space.horizon:
             space.extend()
 
-    # Evaluate the decide-1 condition on the completed space; the evaluator
-    # hands out a checker that shares its per-pass caches where the engine
-    # has any (the symbolic encoder), and its own re-evaluations may now
-    # share state too — the space is final.
-    evaluate_zero_conditions.mark_complete()
-    checker = evaluate_zero_conditions.make_checker()
+    # Evaluate the decide-1 condition on the completed space.
+    checker = ModelChecker(space)
     someone_decides_zero_now = big_or(
         decides_now(agent, 0) for agent in model.agents()
     )
@@ -429,11 +298,11 @@ def _eba_pass(
 
     final_rule = SynthesizedRule(model=model)
     for level in range(space.horizon + 1):
-        zero_conditions = evaluate_zero_conditions(level)
+        zero_conditions = _decide_zero_conditions_at_level(space, level)
         states = space.levels[level]
         for agent in model.agents():
             no_future_zero = Knows(agent, neg(future_zero))
-            knows_safe = check_bits(checker, no_future_zero)[level]
+            knows_safe = checker.check_bits(no_future_zero)[level]
             groups = space.observation_groups(level, agent)
             reachable = set(groups)
             features_of = {
@@ -478,8 +347,8 @@ def synthesize_eba(
     The computation iterates whole-space passes until the derived rule table
     stops changing (the usual knowledge-based-program fixpoint); for the
     exchanges of the paper (``E_min`` and ``E_basic``) this converges within
-    a few iterations.  ``engine`` selects the satisfaction backend used for
-    the knowledge conditions (see :mod:`repro.engines`).  The caller can
+    a few iterations.  ``engine`` is validated (see :mod:`repro.engines`).
+    The caller can
     verify the result against the knowledge-based program with
     :func:`repro.kbp.implementation.verify_eba_implementation`.
     """
@@ -491,9 +360,7 @@ def synthesize_eba(
     converged = False
 
     for iterations in range(1, max_iterations + 1):
-        space, conditions, new_rule = _eba_pass(
-            model, horizon, max_states, prior_rule, engine=engine
-        )
+        space, conditions, new_rule = _eba_pass(model, horizon, max_states, prior_rule)
         if prior_rule is not None and new_rule.table == prior_rule.table:
             converged = True
             prior_rule = new_rule

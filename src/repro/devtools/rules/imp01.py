@@ -9,9 +9,8 @@ modules that serving or worker threads import must take every import at
 module import time, while the process is still single-threaded.
 
 Scope: the rule applies to the serving-side packages (``api``, ``obs``,
-``runtime``, ``core``, ``symbolic``, ``logic``, ``spec``, ``kbp``,
-``systems``, ``protocols``, ``exchanges``, ``failures``, ``engines``,
-``factory``).  Driver-side code that runs strictly on the main thread —
+``runtime``, ``core``, ``logic``, ``spec``, ``kbp``, ``systems``,
+``protocols``, ``exchanges``, ``failures``, ``engines``).  Driver-side code that runs strictly on the main thread —
 the CLI, the grid harness (which parallelises with forked *processes*,
 not threads), and offline analysis — may keep cycle-breaking lazy
 imports and is excluded.  Cycle-forced exceptions inside the serving

@@ -1,34 +1,20 @@
-"""Pluggable satisfaction-engine selection.
+"""The satisfaction engine name and the checker constructor.
 
-The repository ships three satisfaction backends over the same
-:class:`~repro.systems.space.LevelledSpace` and :mod:`repro.logic` formula
-AST:
-
-* ``bitset`` — the explicit packed-bitset engine
-  (:class:`~repro.core.checker.ModelChecker`); the default and the fastest
-  on the paper's table workloads.
-* ``symbolic`` — the BDD-backed engine
-  (:class:`~repro.symbolic.checker.SymbolicChecker`), which represents
-  satisfaction sets and the epistemic relations as factored BDDs.
-* ``set`` — the literal set-based reference engine
-  (:class:`~repro.core.reference.SetChecker`), retained as the executable
-  specification and test oracle.
-
-Every layer that evaluates formulas (synthesis, KBP verification, harness
-tasks, the CLI) takes an ``engine`` parameter validated by
-:func:`validate_engine` and instantiates its checker through
-:func:`checker_for`, so backends can never be mixed silently within one
-computation.
+Every formula is evaluated by the explicit packed-bitset engine
+(:class:`~repro.core.checker.ModelChecker`); the set-based
+:class:`~repro.core.reference.SetChecker` is kept only as the test oracle
+and benchmark baseline.  ``engine`` remains a field of scenarios, journal
+cell parameters and result payloads, always ``"bitset"``, so store keys,
+journal keys and answers stay byte-identical with those recorded when the
+repository shipped other backends.  :func:`validate_engine` rejects every
+other name — including the removed ``symbolic`` and ``set`` backends — so
+input naming them fails loudly instead of silently running on bitset.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.logic.formula import Formula
-
-#: The known satisfaction engines, in preference order.
-ENGINES = ("bitset", "symbolic", "set")
+#: The known satisfaction engines.
+ENGINES = ("bitset",)
 
 #: The engine used when none is requested.
 DEFAULT_ENGINE = "bitset"
@@ -37,9 +23,9 @@ DEFAULT_ENGINE = "bitset"
 def validate_engine(engine: str) -> str:
     """Check an engine name against the known backends.
 
-    Returns the name unchanged; raises ``ValueError`` with the list of known
-    engines otherwise (the CLI surfaces this via ``argparse`` choices, the
-    task layer via the runner's error channel).
+    Returns the name unchanged; raises ``ValueError`` naming the engine
+    otherwise (the task layer surfaces it via the runner's error channel,
+    the service as a 400).
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -49,43 +35,21 @@ def validate_engine(engine: str) -> str:
 
 
 def checker_for(space, engine: str = DEFAULT_ENGINE):
-    """A fresh checker over ``space`` for the requested engine.
+    """A fresh :class:`~repro.core.checker.ModelChecker` over ``space``.
 
-    All three checkers expose ``check``, ``holds_at``, ``holds_initially``
-    and ``holds_everywhere``; the bitset and symbolic engines additionally
-    expose ``check_bits`` (use :func:`check_bits` to consume any of them in
-    packed form).
+    ``engine`` is validated, so a caller holding a stale engine name fails
+    here rather than being answered by a backend it did not ask for.
     """
     validate_engine(engine)
-    if engine == "bitset":
-        return ModelChecker(space)
-    if engine == "symbolic":
-        return SymbolicChecker(space)
-    return SetChecker(space)
+    return ModelChecker(space)
 
 
-def check_bits(checker, formula: Formula) -> List[int]:
-    """A checker's satisfaction set in packed bitmask form, whatever the engine.
-
-    Uses the engine's native ``check_bits`` when it has one; the set-based
-    reference engine is adapted through
-    :func:`~repro.core.bitset.from_level_sets`.
-    """
-    native = getattr(checker, "check_bits", None)
-    if native is not None:
-        return native(formula)
-    return from_level_sets(checker.check(formula))
-
-
-# These imports live at the bottom of the module, not inside the functions
-# above: repro.core's package init pulls in the synthesis layer, which
-# imports this module, so top-of-module imports would hit the cycle while
-# this module's names are still undefined.  By the time the imports below
-# execute, every public name above is bound, so the cycle resolves in
-# either entry order — and the checker classes are fully imported while
-# the process is still single-threaded, which is what IMP01 demands
-# (serving threads must never be first to execute an import).
-from repro.core.bitset import from_level_sets  # noqa: E402
+# This import lives at the bottom of the module, not at the top: repro.core's
+# package init pulls in the synthesis layer, which imports this module, so a
+# top-of-module import would hit the cycle while this module's names are
+# still undefined.  By the time the import below executes, every public name
+# above is bound, so the cycle resolves in either entry order — and the
+# checker class is fully imported while the process is still
+# single-threaded, which is what IMP01 demands (serving threads must never
+# be first to execute an import).
 from repro.core.checker import ModelChecker  # noqa: E402
-from repro.core.reference import SetChecker  # noqa: E402
-from repro.symbolic.checker import SymbolicChecker  # noqa: E402

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api import Scenario
+from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.harness.runner import CaseOutcome
 
 #: A resolved cell: (row key, column label, task name, task parameters).
@@ -121,6 +122,7 @@ class ResultStore:
                     f"corrupt results journal {self.path}: {line[:80]!r}"
                 ) from exc
             kind = record.get("kind")
+            self._check_engines(record)
             if kind == "outcome":
                 # Keys are recomputed (not trusted from the record) so journals
                 # written before the Scenario normalisation migrate on read:
@@ -130,6 +132,25 @@ class ResultStore:
                 self.budgets[key] = record.get("timeout")
             elif kind == "spec":
                 self._spec_record = record
+
+    def _check_engines(self, record: Dict[str, object]) -> None:
+        """Refuse a record that names an engine this build does not have.
+
+        :func:`canonical_key` would otherwise fall back to raw-JSON keys for
+        such cells, silently re-keying the journal.
+        """
+        cells = [record] + [
+            cell for row in record.get("rows") or () for cell in row.get("cells") or ()
+        ]
+        engines = [record.get("engine")] + [
+            (cell.get("params") or {}).get("engine") for cell in cells
+        ]
+        for engine in engines:
+            if engine is not None:
+                try:
+                    validate_engine(engine)
+                except ValueError as exc:
+                    raise ValueError(f"results journal {self.path}: {exc}") from exc
 
     def __contains__(self, key: str) -> bool:
         return key in self.outcomes
@@ -141,16 +162,12 @@ class ResultStore:
         """The store keys a cell may be filed under, most specific first.
 
         Journals written before engine selection existed carry no ``engine``
-        in their cell parameters; every outcome in them ran on the explicit
-        bitset engine (the only backend at the time).  A *bitset* lookup
-        therefore falls back to the engine-less key, so old sweeps stay
-        resumable; lookups for any other engine never fall back — reusing a
-        pre-engine cell under a different backend would silently mix them.
-
-        For scenario tasks the :func:`canonical_key` normalisation already
+        in their cell parameters; every outcome in them ran on the bitset
+        engine, so a bitset lookup falls back to the engine-less key.  For
+        scenario tasks the :func:`canonical_key` normalisation already
         re-keys engine-less parameters to the bitset form (both candidates
-        coincide); the explicit fallback still matters for ad-hoc tasks that
-        key under raw parameter JSON.
+        coincide); the explicit fallback matters for ad-hoc tasks that key
+        under raw parameter JSON.
         """
         keys = [canonical_key(task, params)]
         if params.get("engine") == "bitset":
@@ -199,15 +216,12 @@ class ResultStore:
         title: str,
         row_header: Iterable[str],
         cells: Iterable[ResolvedCell],
-        engine: str = "bitset",
     ) -> None:
         """Journal the table structure so the store is self-describing.
 
-        ``cells`` carries the *resolved* parameters (budgets merged in, the
-        satisfaction ``engine`` included), so :meth:`load_result` can look
-        every cell up by the same canonical key :func:`run_table` records
-        outcomes under.  The engine is also recorded at the spec level, so a
-        rendered report names the backend its numbers were measured with.
+        ``cells`` carries the *resolved* parameters (budgets and the engine
+        merged in), so :meth:`load_result` can look every cell up by the
+        same canonical key :func:`run_table` records outcomes under.
         """
         rows: List[Dict[str, object]] = []
         by_key: Dict[Tuple, Dict[str, object]] = {}
@@ -223,7 +237,7 @@ class ResultStore:
             "name": name,
             "title": title,
             "row_header": list(row_header),
-            "engine": engine,
+            "engine": DEFAULT_ENGINE,
             "rows": rows,
         }
         self._append(record)
@@ -251,9 +265,6 @@ class ResultStore:
             name=self._spec_record["name"],
             title=self._spec_record["title"],
             row_header=tuple(self._spec_record["row_header"]),
-            # Journals written before the engine field default to the engine
-            # that was the only backend at the time.
-            engine=self._spec_record.get("engine", "bitset"),
         )
         result = TableResult(spec=spec)
         for row in self._spec_record["rows"]:

@@ -22,7 +22,7 @@ from multiprocessing.connection import wait as _wait_sentinels
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Scenario, TableCell
-from repro.engines import DEFAULT_ENGINE, validate_engine
+from repro.engines import DEFAULT_ENGINE
 from repro.harness.runner import (
     TERM_GRACE_SECONDS,
     CaseHandle,
@@ -46,10 +46,6 @@ class TableSpec:
     title: str
     row_header: Sequence[str]
     rows: List[Tuple[Tuple, List[CellSpec]]] = field(default_factory=list)
-    #: The satisfaction engine every cell of the table runs under.  Also part
-    #: of each cell's task parameters (and hence its store key), so a resumed
-    #: grid can never silently mix backends.
-    engine: str = DEFAULT_ENGINE
 
     def columns(self) -> List[str]:
         """The distinct column labels, in first-appearance order."""
@@ -80,13 +76,11 @@ def _resolved_cells(
     """Flatten a spec into (row key, column, task, resolved params) cells.
 
     Every cell is resolved through a validated
-    :class:`~repro.api.Scenario`: the spec's engine and the state budget are
+    :class:`~repro.api.Scenario`: the engine and the state budget are
     merged in, and the scenario's canonical parameter form
     (:meth:`Scenario.to_params`) becomes the cell's resolved params — so a
-    malformed spec fails before any child forks, the engine is part of every
-    canonical store key (outcomes recorded under one backend are never
-    reused when resuming under another), and two specs that spell the same
-    configuration differently journal under the same key.
+    malformed spec fails before any child forks, and two specs that spell
+    the same configuration differently journal under the same key.
     """
     from repro.api.scenario import TASK_FIELDS
 
@@ -96,7 +90,7 @@ def _resolved_cells(
             case_params = dict(params)
             if max_states is not None and "max_states" not in case_params:
                 case_params["max_states"] = max_states
-            case_params.setdefault("engine", spec.engine)
+            case_params.setdefault("engine", DEFAULT_ENGINE)
             if task in TASK_FIELDS:
                 scenario = Scenario.from_task_params(task, case_params)
                 case_params = scenario.to_params(task)
@@ -270,9 +264,7 @@ def run_table(
     result = TableResult(spec=spec)
     cells = _resolved_cells(spec, max_states)
     if store is not None:
-        store.record_spec(
-            spec.name, spec.title, spec.row_header, cells, engine=spec.engine
-        )
+        store.record_spec(spec.name, spec.title, spec.row_header, cells)
 
     def reusable(stored: CaseOutcome, stored_budget: Optional[float]) -> bool:
         # A completed (or errored) cell is conclusive under any budget; a TO
@@ -446,7 +438,7 @@ def render_json(result: TableResult) -> str:
             "table": spec.name,
             "title": spec.title,
             "row_header": list(spec.row_header),
-            "engine": spec.engine,
+            "engine": DEFAULT_ENGINE,
             "columns": columns,
             "rows": rows,
         },
@@ -567,16 +559,13 @@ def _nt_grid(max_n: int, min_n: int = 2) -> List[Tuple[int, int]]:
     return grid
 
 
-def table1_spec(
-    max_n: int = 5, include_count: bool = True, engine: str = DEFAULT_ENGINE
-) -> TableSpec:
+def table1_spec(max_n: int = 5, include_count: bool = True) -> TableSpec:
     """Table 1: SBA model checking and synthesis, FloodSet vs Count-FloodSet."""
     spec = TableSpec(
         name="table1",
         title="Table 1: running times for SBA model checking and synthesis "
         "(crash failures, |V| = 2)",
         row_header=("n", "t"),
-        engine=validate_engine(engine),
     )
     for n, t in _nt_grid(max_n):
         cells: List[CellSpec] = [
@@ -610,14 +599,13 @@ def table1_spec(
     return spec
 
 
-def table2_spec(max_n: int = 4, engine: str = DEFAULT_ENGINE) -> TableSpec:
+def table2_spec(max_n: int = 4) -> TableSpec:
     """Table 2: SBA model checking for Diff and Dwork–Moses, varying rounds."""
     spec = TableSpec(
         name="table2",
         title="Table 2: running times for SBA model checking, Diff and "
         "Dwork-Moses protocols (crash failures, |V| = 2)",
         row_header=("n", "t", "rounds"),
-        engine=validate_engine(engine),
     )
     for n in range(2, max_n + 1):
         for t in range(1, n + 1):
@@ -648,13 +636,12 @@ def table2_spec(max_n: int = 4, engine: str = DEFAULT_ENGINE) -> TableSpec:
     return spec
 
 
-def table3_spec(max_n: int = 4, engine: str = DEFAULT_ENGINE) -> TableSpec:
+def table3_spec(max_n: int = 4) -> TableSpec:
     """Table 3: EBA synthesis, E_min and E_basic, crash and sending omissions."""
     spec = TableSpec(
         name="table3",
         title="Table 3: running times for EBA synthesis",
         row_header=("n", "t"),
-        engine=validate_engine(engine),
     )
     for n in range(2, max_n + 1):
         for t in range(1, n + 1):
@@ -677,14 +664,13 @@ def table3_spec(max_n: int = 4, engine: str = DEFAULT_ENGINE) -> TableSpec:
     return spec
 
 
-def ablation_temporal_only(max_n: int = 5, engine: str = DEFAULT_ENGINE) -> TableSpec:
+def ablation_temporal_only(max_n: int = 5) -> TableSpec:
     """Ablation: purely temporal SBA checking scales further (Section 13)."""
     spec = TableSpec(
         name="ablation-temporal",
         title="Ablation: purely temporal SBA specification checking "
         "(no knowledge operators)",
         row_header=("exchange", "n", "t"),
-        engine=validate_engine(engine),
     )
     for exchange in ("floodset", "dwork-moses"):
         for n in range(3, max_n + 1):
@@ -709,13 +695,12 @@ def ablation_temporal_only(max_n: int = 5, engine: str = DEFAULT_ENGINE) -> Tabl
     return spec
 
 
-def ablation_failure_models(max_n: int = 3, engine: str = DEFAULT_ENGINE) -> TableSpec:
+def ablation_failure_models(max_n: int = 3) -> TableSpec:
     """Ablation: receiving and general omissions behave like sending omissions."""
     spec = TableSpec(
         name="ablation-failures",
         title="Ablation: EBA synthesis under other omission failure models",
         row_header=("n", "t"),
-        engine=validate_engine(engine),
     )
     for n in range(2, max_n + 1):
         for t in range(1, n + 1):

@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.synthesis import (
-    eba_zero_condition_evaluator,
-    sba_condition_evaluator,
-)
-from repro.engines import DEFAULT_ENGINE, check_bits
+# The per-level evaluators are looked up on the synthesis module at call
+# time, so a test that substitutes them there (the set-oracle comparison)
+# reaches the verifiers too.
+from repro.core import synthesis
+from repro.core.checker import ModelChecker
+from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.logic.atoms import decides_now
 from repro.logic.builders import big_or, neg
 from repro.logic.formula import EvEventually, Knows
@@ -140,24 +141,19 @@ def verify_sba_implementation(
     The check builds (or reuses) the space generated by the protocol and, at
     every point and for every agent that can still decide, compares the
     protocol's action with the least value ``v`` for which ``B^N_i CB_N ∃v``
-    holds at the point.  ``engine`` selects the satisfaction backend used
-    for the knowledge conditions (see :mod:`repro.engines`); ``checker``
-    optionally passes an existing checker over the same ``space`` whose
-    engine state (the symbolic encoder) should be shared rather than
-    rebuilt.
+    holds at the point.  ``engine`` is validated (see :mod:`repro.engines`).
+    ``checker`` is accepted for callers that hold the spec checker over the
+    same ``space``; the conditions are computed from the masks cached on the
+    space, so it is not consulted.
     """
+    validate_engine(engine)
     if space is None:
         space = build_space(model, rule, horizon=horizon, max_states=max_states)
     report = ImplementationReport(program="P (SBA)")
     seen: Set[Tuple] = set()
-    # The space is complete here, so the evaluator may share state
-    # across levels (one reference checker instead of one per level).
-    evaluate_conditions = sba_condition_evaluator(
-        space, engine, growing=False, encoder=getattr(checker, "encoder", None)
-    )
 
     for level in range(len(space.levels)):
-        conditions = evaluate_conditions(level)
+        conditions = synthesis._level_knowledge_conditions(space, level)
         for index, state in enumerate(space.levels[level]):
             joint_action = space.actions[level][index]
             for agent in model.agents():
@@ -206,30 +202,25 @@ def verify_eba_implementation(
     The decide-0 guard is ``init_i = 0`` or knowledge that some agent has
     decided 0; the decide-1 guard is knowledge that no agent decides 0 now or
     in the future, evaluated on the space generated by the protocol itself.
-    ``engine`` selects the satisfaction backend (see :mod:`repro.engines`).
+    ``engine`` is validated (see :mod:`repro.engines`).
     """
+    validate_engine(engine)
     if space is None:
         space = build_space(model, rule, horizon=horizon, max_states=max_states)
     report = ImplementationReport(program="P0 (EBA)")
     seen: Set[Tuple] = set()
-    evaluate_zero_conditions = eba_zero_condition_evaluator(
-        space, engine, growing=False
-    )
-
-    # The evaluator's checker shares any per-space engine state (the
-    # symbolic encoder), so relations are built once for the whole check.
-    checker = evaluate_zero_conditions.make_checker()
+    checker = ModelChecker(space)
     someone_decides_zero = big_or(decides_now(agent, 0) for agent in model.agents())
     future_zero = EvEventually(someone_decides_zero)
     # Packed bitsets: knows_safe[agent][level] has bit j set iff the agent
     # knows at state j that no agent ever decides 0.
     knows_safe: Dict[int, List[int]] = {
-        agent: check_bits(checker, Knows(agent, neg(future_zero)))
+        agent: checker.check_bits(Knows(agent, neg(future_zero)))
         for agent in model.agents()
     }
 
     for level in range(len(space.levels)):
-        zero_conditions = evaluate_zero_conditions(level)
+        zero_conditions = synthesis._decide_zero_conditions_at_level(space, level)
         for index, state in enumerate(space.levels[level]):
             joint_action = space.actions[level][index]
             for agent in model.agents():

@@ -1,8 +1,7 @@
 """Opt-in kernel profiling with negligible overhead when off.
 
-Hot kernels (bitset block-mask intersections, predecessor images, BDD
-``ite``/``and_exists``) are wrapped once at definition time with
-:func:`kernel`.  The wrapper's off-path is a single global ``None`` check —
+Hot kernels (bitset block-mask intersections, predecessor images) are
+wrapped once at definition time with :func:`kernel`.  The wrapper's off-path is a single global ``None`` check —
 no timing, no allocation — so instrumentation can stay on the definitions
 permanently.  Profiling activates when:
 
@@ -12,9 +11,8 @@ permanently.  Profiling activates when:
 - :func:`enable` is called programmatically (the CLI ``--profile`` flag
   sets the environment variable so forked children inherit it).
 
-Nested kernels double-count by design (``and_exists`` internally issues
-``ite`` calls): each row answers "how much wall-clock passed inside this
-kernel", which is the question the ROADMAP's fast-path decision needs.
+Nested kernels double-count by design: each row answers "how much
+wall-clock passed inside this kernel".
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The compute plane: engine-independent space planning and pre-fork builds.
+"""The compute plane: space planning and pre-fork builds.
 
 Both fork planes — the grid scheduler (:func:`repro.harness.tables.run_table`)
 and the pre-fork serving front (``repro serve --workers N``) — pay the same
@@ -7,7 +7,7 @@ dominant cold cost: every forked child rebuilds its
 cells or queries share one (exchange, n, t, failures) space.  This package is
 the shared mechanism that amortises that cost:
 
-* :mod:`repro.runtime.plan` — :class:`SpaceKey`, the engine-independent
+* :mod:`repro.runtime.plan` — :class:`SpaceKey`, the horizon-independent
   identity of a space, and :func:`build_space_artefacts`, the build pipeline
   extracted out of ``Session._space`` (space plus pre-warmed packed bitset
   masks, budget-tolerant, horizon-prefix-sharable);

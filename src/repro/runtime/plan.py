@@ -1,4 +1,4 @@
-"""Space planning: the engine-independent identity and build pipeline.
+"""Space planning: the horizon-independent identity and build pipeline.
 
 This module is ``Session._model_key``/``Session._space`` factored out of the
 session so that *both* fork planes can name and build a space without a
@@ -7,26 +7,19 @@ session: :class:`SpaceKey` is the identity of one literature-protocol space,
 packed bitset masks), and :func:`cell_space_plan` maps a grid cell onto the
 space it would build — ``None`` for cells that build no shareable space.
 
-Two properties of the key are load-bearing:
+The key excludes the horizon, and that is load-bearing.  Levels are built
+incrementally and deterministically — the decision rule sees only (agent,
+local state, time) — so the space at horizon ``h`` is a *prefix* of the
+space at any larger horizon.  One build at the largest horizon a group of
+cells needs serves every smaller-horizon cell through
+:meth:`SpaceArtefacts.space_for` (Table 2's rounds sweeps are dozens of
+cells over a handful of spaces for precisely this reason).  Prefixes share
+the per-level state lists and the warmed mask caches; they are never
+mutated after a level is built, so sharing is safe in-process and free
+across forks (copy-on-write).
 
-* **The engine is excluded.**  All satisfaction backends read the same
-  levelled space; one build serves bitset, symbolic and set cells alike
-  (exactly the invariant ``Session._space`` already encoded in its cache
-  key).
-* **The horizon is excluded.**  Levels are built incrementally and
-  deterministically — the decision rule sees only (agent, local state,
-  time) — so the space at horizon ``h`` is a *prefix* of the space at any
-  larger horizon.  One build at the largest horizon a group of cells needs
-  serves every smaller-horizon cell through :meth:`SpaceArtefacts.space_for`
-  (Table 2's rounds sweeps are dozens of cells over a handful of spaces for
-  precisely this reason).  Prefixes share the per-level state lists and the
-  warmed mask caches; they are never mutated after a level is built, so
-  sharing is safe in-process and free across forks (copy-on-write).
-
-Only the session cache keys produced by :func:`model_cache_key` and
-:func:`space_cache_key` are persisted (they feed the artefact store's string
-keys); they reproduce the pre-refactor tuples byte for byte, so persistent
-stores written before the compute plane stay valid.
+The session cache keys produced by :func:`model_cache_key` and
+:func:`space_cache_key` reproduce the pre-refactor ``Session`` tuples.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ _TIMED_CACHES = (
 
 @dataclass(frozen=True)
 class SpaceKey:
-    """The engine- and horizon-independent identity of one levelled space.
+    """The horizon-independent identity of one levelled space.
 
     Everything that shapes the reachable states and recorded actions:
     the information exchange, the system size, the value domain, the failure
@@ -109,12 +102,12 @@ def model_key(scenario: Scenario) -> Tuple:
 
 
 def model_cache_key(scenario: Scenario) -> Tuple:
-    """The session/store cache key of a scenario's model (stable tuple)."""
+    """The session cache key of a scenario's model (stable tuple)."""
     return ("model",) + model_key(scenario)
 
 
 def space_cache_key(scenario: Scenario, protocol_name: str, horizon: int) -> Tuple:
-    """The session/store cache key of a scenario's space (stable tuple)."""
+    """The session cache key of a scenario's space (stable tuple)."""
     return ("space",) + model_key(scenario) + (
         protocol_name, horizon, scenario.max_states,
     )
@@ -254,7 +247,7 @@ def _warm_masks(space: LevelledSpace, built_horizon: int) -> None:
 
     This is the copy-on-write payload: the per-(level, agent) observation
     partitions, nonfaulty masks, level masks and predecessor masks are what
-    the satisfaction engines hit first on every query; computing them once in
+    the checker hits first on every query; computing them once in
     the parent means every forked child inherits them for free.  Atom masks
     are formula-specific and stay lazy.
     """

@@ -167,7 +167,7 @@ def parse_frontier(spec: str) -> List[Tuple[str, Scenario]]:
     """Parse a ``serve --preload`` scenario-frontier spec into (task, scenario).
 
     The spec names one of the experiment grids plus optional comma-separated
-    options: ``table1``, ``table1:max-n=4``, ``table2:max-n=3,engine=set``.
+    options: ``table1``, ``table1:max-n=4``.
     The grid's resolved cells *are* the frontier — the queries a service
     warmed for that table should answer without a cold build.  Raises
     ``ValueError`` for unknown names or malformed options, so the CLI can
@@ -214,12 +214,9 @@ def parse_frontier(spec: str) -> List[Tuple[str, Scenario]]:
                     raise ValueError(
                         f"preload option max-n must be an integer, got {value!r}"
                     ) from exc
-            elif option == "engine":
-                kwargs["engine"] = value
             else:
                 raise ValueError(
-                    f"unknown preload option {option!r} "
-                    "(expected max-n or engine)"
+                    f"unknown preload option {option!r} (expected max-n)"
                 )
     table_spec = factories[name](**kwargs)
 

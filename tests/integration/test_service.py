@@ -188,12 +188,13 @@ class TestObservability:
 
 
 class TestErrors:
-    def test_invalid_scenario_is_a_400(self, server_url):
+    @pytest.mark.parametrize("engine", ["cudd", "symbolic", "set"])
+    def test_invalid_scenario_is_a_400(self, server_url, engine):
         status, body = _post(server_url + "/check",
-                             {"scenario": dict(SCENARIO, engine="cudd")})
+                             {"scenario": dict(SCENARIO, engine=engine)})
         assert status == 400
         assert body["ok"] is False
-        assert "satisfaction engine" in body["error"]
+        assert f"'{engine}' is not a satisfaction engine" in body["error"]
 
     def test_unknown_scenario_field_is_a_400(self, server_url):
         status, body = _post(server_url + "/check",

@@ -20,12 +20,12 @@ RESULTS = [
         sound=True, late_points=4,
     ),
     CheckResult(
-        task="sba-temporal-only", engine="symbolic", exchange="diff",
+        task="sba-temporal-only", engine="bitset", exchange="diff",
         failures="crash", num_agents=4, max_faulty=2, states=99,
         spec={"termination": True},
     ),
     CheckResult(
-        task="eba-model-check", engine="set", exchange="emin",
+        task="eba-model-check", engine="bitset", exchange="emin",
         failures="sending", num_agents=2, max_faulty=1, states=56,
         spec={"eba_agreement": True}, protocol="emin-literature",
     ),

@@ -51,6 +51,10 @@ class TestConstruction:
              "integer"),
             (dict(exchange="floodset", num_agents=3, max_faulty=1, engine="cudd"),
              "satisfaction engine"),
+            (dict(exchange="floodset", num_agents=3, max_faulty=1,
+                  engine="symbolic"), "'symbolic' is not a satisfaction engine"),
+            (dict(exchange="floodset", num_agents=3, max_faulty=1, engine="set"),
+             "'set' is not a satisfaction engine"),
             (dict(exchange="floodset", num_agents="3", max_faulty=1), "integer"),
         ],
     )
@@ -82,13 +86,13 @@ class TestCanonicalForm:
     def test_non_defaults_are_kept(self):
         scenario = Scenario(exchange="count", num_agents=4, max_faulty=2,
                             failures="sending", rounds=3, optimal_protocol=True,
-                            max_states=1000, engine="symbolic")
+                            max_states=1000)
         params = json.loads(scenario.canonical_json())
         assert params["failures"] == "sending"
         assert params["rounds"] == 3
         assert params["optimal_protocol"] is True
         assert params["max_states"] == 1000
-        assert params["engine"] == "symbolic"
+        assert params["engine"] == "bitset"
 
     def test_cell_key_matches_the_legacy_store_key(self):
         # The exact key format pre-redesign journals used: canonical JSON of
@@ -106,7 +110,7 @@ class TestCanonicalForm:
 class TestTaskParams:
     def test_round_trip_through_task_params(self):
         scenario = Scenario(exchange="diff", num_agents=4, max_faulty=2,
-                            rounds=2, engine="symbolic", max_states=500)
+                            rounds=2, max_states=500)
         params = scenario.to_params("sba-model-check")
         assert Scenario.from_task_params("sba-model-check", params) == scenario
 
@@ -137,7 +141,7 @@ class TestTaskParams:
 
     def test_json_round_trip(self):
         scenario = Scenario(exchange="ebasic", num_agents=3, max_faulty=1,
-                            engine="set", max_states=10_000)
+                            max_states=10_000)
         assert Scenario.from_json(scenario.to_json()) == scenario
 
     def test_from_json_rejects_unknown_fields(self):

@@ -96,15 +96,6 @@ class TestCaching:
         session.check_temporal(FLOODSET)
         assert session.stats().misses == misses_before + 1
 
-    def test_engines_never_share_checkers(self):
-        session = Session()
-        bitset = session.checker(FLOODSET)
-        symbolic = session.checker(FLOODSET.with_engine("symbolic"))
-        assert type(bitset) is not type(symbolic)
-        # ...but both engines share the one space.
-        assert session.space(FLOODSET) is session.space(
-            FLOODSET.with_engine("symbolic"))
-
     def test_cache_is_bounded_and_evicts_lru(self):
         session = Session(max_entries=2)
         session.model(FLOODSET)

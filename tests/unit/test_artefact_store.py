@@ -11,6 +11,7 @@ import errno
 import json
 import multiprocessing
 import os
+import pickle
 import time
 from pathlib import Path
 
@@ -77,7 +78,6 @@ class TestRoundTrip:
         root = tmp_path / "deep" / "store"
         ArtefactStore(root)
         assert (root / "results").is_dir()
-        assert (root / "artefacts").is_dir()
         assert (root / "quarantine").is_dir()
 
 
@@ -449,52 +449,34 @@ class TestWriteFailures:
         assert session.check(SCENARIO) is result
 
 
-class TestPickledArtefacts:
-    def test_pickle_is_off_by_default(self, store):
-        assert store.put_artefact("space", "k", object()) is False
-        assert store.get_artefact("space", "k") is None
-        assert list((store.root / "artefacts").iterdir()) == []
+class TestLegacyPickledSpaces:
+    def test_old_store_with_pickled_spaces_serves_and_stays_bounded(
+        self, tmp_path, monkeypatch
+    ):
+        """``artefacts/*.pkl`` from older builds: counted, compacted, never read."""
+        root = tmp_path / "store"
+        result = Session(store=ArtefactStore(root)).check(SCENARIO)
+        legacy = root / "artefacts"
+        legacy.mkdir()
+        old = time.time() - 3600
+        for index in range(3):
+            path = legacy / f"{index:064x}.pkl"
+            path.write_bytes(pickle.dumps({"identity": "space", "artefact": [index]}))
+            os.utime(path, (old, old))
 
-    def test_opt_in_round_trip(self, tmp_path):
-        store = ArtefactStore(tmp_path / "store", allow_pickle=True)
-        assert store.put_artefact("space", "k", {"levels": [1, 2, 3]})
-        assert store.get_artefact("space", "k") == {"levels": [1, 2, 3]}
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store unpickled a file")
 
-    def test_unpicklable_artefact_degrades(self, tmp_path):
-        store = ArtefactStore(tmp_path / "store", allow_pickle=True)
-        assert store.put_artefact("space", "k", lambda: None) is False
-        assert store.stats()["write_errors"] == 1
-
-    def test_corrupt_pickle_is_quarantined(self, tmp_path):
-        store = ArtefactStore(tmp_path / "store", allow_pickle=True)
-        assert store.put_artefact("space", "k", [1, 2])
-        (path,) = (store.root / "artefacts").iterdir()
-        path.write_bytes(b"\x80\x04 definitely not a pickle")
-        assert store.get_artefact("space", "k") is None
-        assert store.stats()["quarantined"] == 1
-
-    def test_identity_mismatch_is_quarantined(self, tmp_path):
-        store = ArtefactStore(tmp_path / "store", allow_pickle=True)
-        assert store.put_artefact("space", "a", [1])
-        assert store.put_artefact("space", "b", [2])
-        paths = sorted((store.root / "artefacts").iterdir())
-        paths[0].write_bytes(paths[1].read_bytes())
-        values = [store.get_artefact("space", "a"), store.get_artefact("space", "b")]
-        # One of the two lookups hit the copied-over file and rejected it.
-        assert store.stats()["quarantined"] == 1
-        assert None in values
-
-    def test_sessions_share_spaces_through_a_pickling_store(self, tmp_path):
-        store = ArtefactStore(tmp_path / "store", allow_pickle=True)
-        first = Session(store=store)
-        space = first.space(SCENARIO)
-        writes_after_build = store.stats()["writes"]
-        assert writes_after_build >= 1
-        second = Session(store=ArtefactStore(tmp_path / "store", allow_pickle=True))
-        warm = second.space(SCENARIO)
-        assert warm.num_states() == space.num_states()
-        # The second session loaded, not rebuilt: no new space write.
-        assert second.store.stats()["writes"] == 0
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        store = ArtefactStore(root)
+        assert store.disk_stats()["artefacts"]["entries"] == 3
+        session = Session(store=store)
+        assert session.check(SCENARIO) == result
+        assert store.stats()["hits"] == 1
+        assert store.compact(max_entries=1)["removed"] == 3
+        assert list(legacy.iterdir()) == []
+        assert Session(store=ArtefactStore(root)).check(SCENARIO) == result
 
 
 class TestKeySchema:
@@ -505,8 +487,3 @@ class TestKeySchema:
         assert parsed["schema_version"] == SCHEMA_VERSION
         assert json.loads(parsed["scenario"])["exchange"] == "floodset"
 
-    def test_engine_is_part_of_the_key(self, store):
-        key = _populate(store)
-        symbolic = SCENARIO.with_engine("symbolic").canonical_json()
-        assert key != symbolic
-        assert store.get_result("check", symbolic) is None

@@ -73,25 +73,7 @@ class TestParser:
                        "--failures", "byzantine"]
                 )
 
-    def test_engine_flag_defaults_to_bitset(self):
-        parser = build_parser()
-        for arguments in (
-            ["table1"],
-            ["synthesize", "--exchange", "floodset", "--agents", "2",
-             "--faulty", "1"],
-            ["check", "--exchange", "floodset", "--agents", "2", "--faulty", "1"],
-        ):
-            assert parser.parse_args(arguments).engine == "bitset"
-
-    def test_engine_flag_accepts_every_backend(self):
-        from repro.engines import ENGINES
-
-        parser = build_parser()
-        for engine in ENGINES:
-            args = parser.parse_args(["table3", "--engine", engine])
-            assert args.engine == engine
-
-    def test_engine_flag_is_validated(self):
+    def test_engine_flag_is_gone(self, capsys):
         parser = build_parser()
         for command in (
             ["table1"],
@@ -103,17 +85,16 @@ class TestParser:
              "--faulty", "1"],
             ["check", "--exchange", "floodset", "--agents", "2", "--faulty", "1"],
         ):
-            with pytest.raises(SystemExit):
-                parser.parse_args(command + ["--engine", "cudd"])
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(command + ["--engine", "bitset"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_engine_flag_rejection_names_the_backends(self, capsys):
-        parser = build_parser()
+    def test_store_pickle_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(["table1", "--engine", "cudd"])
+            build_parser().parse_args(["serve", "--store-pickle"])
         assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        for engine in ("bitset", "symbolic", "set"):
-            assert engine in message
+        assert "--store-pickle" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -239,35 +220,61 @@ class TestCommands:
         assert code == 0
         assert '"table": "table1"' in json_out
 
-    def test_engine_threads_into_journal_and_report(self, capsys, tmp_path):
-        """--engine lands in the spec record, every cell key, and the report."""
+    def test_journal_records_the_bitset_engine(self, capsys, tmp_path):
+        """The engine stays in the spec record, every cell key, and the report."""
         import json
 
         results = tmp_path / "t3.jsonl"
         code = main(["table3", "--max-n", "2", "--timeout", "60", "--quiet",
-                     "--engine", "symbolic", "--output", str(results)])
+                     "--output", str(results)])
         capsys.readouterr()
         assert code == 0
         records = [json.loads(line) for line in results.read_text().splitlines()]
         spec_records = [r for r in records if r["kind"] == "spec"]
-        assert spec_records and all(r["engine"] == "symbolic" for r in spec_records)
+        assert spec_records and all(r["engine"] == "bitset" for r in spec_records)
         outcome_records = [r for r in records if r["kind"] == "outcome"]
         assert outcome_records
         for record in outcome_records:
-            assert record["params"]["engine"] == "symbolic"
-            assert '"engine":"symbolic"' in record["key"]
+            assert record["params"]["engine"] == "bitset"
+            assert '"engine":"bitset"' in record["key"]
 
         code = main(["report", str(results), "--format", "json"])
         report_out = capsys.readouterr().out
         assert code == 0
-        assert '"engine": "symbolic"' in report_out
+        assert '"engine": "bitset"' in report_out
 
-    def test_check_command_runs_under_symbolic_engine(self, capsys):
-        code = main(["check", "--exchange", "floodset", "--agents", "2",
-                     "--faulty", "1", "--engine", "symbolic", "--timeout", "120"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "engine: symbolic" in captured.out
+    @pytest.mark.parametrize("engine", ["symbolic", "set"])
+    @pytest.mark.parametrize("where", ["outcome", "spec"])
+    def test_journal_naming_a_removed_engine_exits_2(
+        self, capsys, tmp_path, engine, where
+    ):
+        """report and --resume refuse the journal instead of re-keying it."""
+        import json
+
+        params = {"exchange": "emin", "num_agents": 2, "max_faulty": 1,
+                  "failures": "crash", "max_states": 2_000_000,
+                  "engine": engine if where == "outcome" else "bitset"}
+        spec = {"kind": "spec", "name": "table3", "title": "Table 3",
+                "row_header": ["n", "t"],
+                "engine": engine if where == "spec" else "bitset",
+                "rows": [{"key": [2, 1], "cells": [
+                    {"column": "emin-crash", "task": "eba-synthesis",
+                     "params": dict(params, engine="bitset")}]}]}
+        outcome = {"kind": "outcome", "key": "k", "task": "eba-synthesis",
+                   "params": params, "seconds": 0.01, "timed_out": False,
+                   "error": None, "result": {"states": 8}, "timeout": 60.0}
+        journal = tmp_path / "old.jsonl"
+        text = json.dumps(spec) + "\n" + json.dumps(outcome) + "\n"
+        journal.write_text(text)
+
+        code = main(["report", str(journal)])
+        assert code == 2
+        assert f"'{engine}' is not a satisfaction engine" in capsys.readouterr().err
+        code = main(["table3", "--max-n", "2", "--timeout", "60", "--quiet",
+                     "--output", str(journal), "--resume"])
+        assert code == 2
+        assert f"'{engine}' is not a satisfaction engine" in capsys.readouterr().err
+        assert journal.read_text() == text
 
     def test_resume_requires_output(self, capsys):
         code = main(["table1", "--max-n", "2", "--resume", "--quiet"])

@@ -1,20 +1,13 @@
-"""Engine selection, the factored space encoding, and the checker adapters."""
+"""Engine-name validation and the checker constructor."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.bitset import from_level_sets
 from repro.core.checker import ModelChecker
-from repro.core.reference import SetChecker
-from repro.engines import ENGINES, check_bits, checker_for, validate_engine
+from repro.engines import ENGINES, checker_for, validate_engine
 from repro.api import Scenario, build_model
-from repro.factory import build_checker
-from repro.logic.atoms import exists_value, nonfaulty
-from repro.logic.formula import Knows
 from repro.protocols.sba import FloodSetStandardProtocol
-from repro.symbolic.checker import SymbolicChecker
-from repro.symbolic.encode import SpaceEncoder
 from repro.systems.space import build_space
 
 
@@ -25,146 +18,20 @@ def space():
 
 
 def test_validate_engine_accepts_known_names():
+    assert ENGINES == ("bitset",)
     for engine in ENGINES:
         assert validate_engine(engine) == engine
 
 
-def test_validate_engine_rejects_unknown_names():
-    with pytest.raises(ValueError, match="bitset"):
-        validate_engine("cudd")
+@pytest.mark.parametrize("engine", ["cudd", "symbolic", "set"])
+def test_validate_engine_rejects_unknown_and_removed_names(engine):
+    with pytest.raises(ValueError, match=f"'{engine}' is not a satisfaction engine"):
+        validate_engine(engine)
 
 
-def test_checker_for_dispatches(space):
+def test_checker_for_builds_the_bitset_checker(space):
     assert isinstance(checker_for(space, "bitset"), ModelChecker)
-    assert isinstance(checker_for(space, "symbolic"), SymbolicChecker)
-    assert isinstance(checker_for(space, "set"), SetChecker)
     assert isinstance(checker_for(space), ModelChecker)
-    with pytest.raises(ValueError):
-        checker_for(space, "sat")
-
-
-def test_build_checker_is_the_factory_front_door(space):
-    assert isinstance(build_checker(space, "symbolic"), SymbolicChecker)
-    with pytest.raises(ValueError):
-        build_checker(space, "z3")
-
-
-def test_check_bits_adapter_covers_all_engines(space):
-    formula = Knows(0, exists_value(1))
-    reference = ModelChecker(space).check_bits(formula)
-    for engine in ENGINES:
-        assert check_bits(checker_for(space, engine), formula) == reference, engine
-
-
-def test_set_checker_adapter_equals_native_packing(space):
-    formula = nonfaulty(0)
-    checker = SetChecker(space)
-    assert check_bits(checker, formula) == from_level_sets(checker.check(formula))
-
-
-# ---------------------------------------------------------------------------
-# The factored encoding
-# ---------------------------------------------------------------------------
-
-
-def test_reach_counts_every_state(space):
-    encoder = SpaceEncoder(space)
-    for level in range(len(space.levels)):
-        encoding = encoder.encoding(level)
-        count = encoder.bdd.sat_count(
-            encoder.reach(level), encoding.variables()
-        )
-        assert count == len(space.levels[level])
-
-
-def test_codes_are_unique_and_invertible(space):
-    encoder = SpaceEncoder(space)
-    for level in range(len(space.levels)):
-        codes = encoder.codes(level)
-        assert len(set(codes)) == len(codes)
-        encoding = encoder.encoding(level)
-        for index, code in enumerate(codes):
-            assert encoding.state_of_code[code] == index
-
-
-def test_observation_relation_is_an_equivalence(space):
-    """Reflexive on reachable locals, symmetric, and blocks match the space."""
-    encoder = SpaceEncoder(space)
-    bdd = encoder.bdd
-    for level in range(len(space.levels)):
-        encoding = encoder.encoding(level)
-        for agent in space.model.agents():
-            relation = encoder.observation_relation(level, agent)
-            groups = space.observation_groups(level, agent)
-            codes = encoder.codes(level)
-            for observation, members in groups.items():
-                for first in members:
-                    for second in members:
-                        assignment = encoding.assignment_of_code(codes[first])
-                        assignment.update(
-                            encoding.assignment_of_code(codes[second], primed=True)
-                        )
-                        assert bdd.evaluate(relation, assignment)
-            # States in different blocks are unrelated.
-            flat = [(obs, index) for obs, members in groups.items() for index in members]
-            for obs_a, first in flat[:6]:
-                for obs_b, second in flat[:6]:
-                    if obs_a == obs_b:
-                        continue
-                    assignment = encoding.assignment_of_code(codes[first])
-                    assignment.update(
-                        encoding.assignment_of_code(codes[second], primed=True)
-                    )
-                    assert not bdd.evaluate(relation, assignment)
-
-
-def test_atom_bdds_match_masks(space):
-    encoder = SpaceEncoder(space)
-    bdd = encoder.bdd
-    keys = [
-        ("exists", 0),
-        ("init", 0, 1),
-        ("decided", 1),
-        ("some_decided", 0),
-        ("nonfaulty", 2),
-        ("time", 1),
-        ("decides_now", 0, 0),  # per-state fallback path
-    ]
-    for level in range(len(space.levels)):
-        reach = encoder.reach(level)
-        for key in keys:
-            node = bdd.apply_and(reach, encoder.atom_bdd(level, key))
-            assert encoder.to_mask(level, node) == space.atom_mask(level, key), key
-
-
-def test_mask_roundtrip(space):
-    encoder = SpaceEncoder(space)
-    level = 1
-    mask = space.atom_mask(level, ("exists", 0))
-    node = encoder.from_mask(level, mask)
-    assert encoder.to_mask(level, node) == mask
-
-
-def test_transition_matches_edges(space):
-    encoder = SpaceEncoder(space)
-    bdd = encoder.bdd
-    level = 0
-    relation = encoder.transition(level)
-    encoding = encoder.encoding(level)
-    successor_encoding = encoder.encoding(level + 1)
-    codes = encoder.codes(level)
-    successor_codes = encoder.codes(level + 1)
-    edges = {
-        (index, target)
-        for index, targets in enumerate(space.successors[level])
-        for target in targets
-    }
-    for index in range(min(len(codes), 8)):
-        for target in range(min(len(successor_codes), 8)):
-            assignment = encoding.assignment_of_code(codes[index])
-            assignment.update(
-                successor_encoding.assignment_of_code(
-                    successor_codes[target], primed=True
-                )
-            )
-            assert bdd.evaluate(relation, assignment) == ((index, target) in edges)
+    for engine in ("symbolic", "set", "sat"):
+        with pytest.raises(ValueError):
+            checker_for(space, engine)

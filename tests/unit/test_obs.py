@@ -230,14 +230,14 @@ def test_maybe_enable_from_env(clean_profile, monkeypatch):
 def test_render_table_is_aligned(clean_profile):
     summary = {
         "kernels": {
-            "bdd.ite": {"calls": 10, "total_seconds": 0.5,
-                        "median_seconds": 0.04, "max_seconds": 0.1},
+            "bitset.exist_step": {"calls": 10, "total_seconds": 0.5,
+                                  "median_seconds": 0.04, "max_seconds": 0.1},
         }
     }
     table = obs_profile.render_table(summary)
     lines = table.splitlines()
     assert lines[0].split() == ["kernel", "calls", "total_s", "median_s", "max_s"]
-    assert "bdd.ite" in table and "0.500000" in table
+    assert "bitset.exist_step" in table and "0.500000" in table
 
 
 # ---------------------------------------------------------------------------

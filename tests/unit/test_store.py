@@ -100,6 +100,27 @@ class TestResultStore:
         with pytest.raises(ValueError, match="corrupt"):
             ResultStore(path)
 
+    @pytest.mark.parametrize("engine", ["symbolic", "set"])
+    @pytest.mark.parametrize("where", ["outcome", "spec", "spec-cell"])
+    def test_journal_naming_a_removed_engine_raises(self, tmp_path, engine, where):
+        """Such a journal is refused, never re-keyed under raw-JSON keys."""
+        store = ResultStore(tmp_path / "results.jsonl")
+        outcome = _outcome(params={"exchange": "floodset", "num_agents": 2,
+                                   "max_faulty": 1, "engine": "bitset"})
+        store.record_spec("table1", "Table 1", ("n", "t"),
+                          [((2, 1), "floodset-synth", outcome.task, outcome.params)])
+        store.record(outcome)
+        spec, record = [json.loads(line) for line in store.path.read_text().splitlines()]
+        if where == "outcome":
+            record["params"]["engine"] = engine
+        elif where == "spec":
+            spec["engine"] = engine
+        else:
+            spec["rows"][0]["cells"][0]["params"]["engine"] = engine
+        store.path.write_text(json.dumps(spec) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=f"'{engine}' is not a satisfaction engine"):
+            ResultStore(store.path)
+
     def test_truncated_final_line_is_tolerated(self, tmp_path):
         # A kill mid-append leaves a torn last line; the journal must still
         # load every complete record (that is the whole point of the store).
@@ -208,9 +229,8 @@ class TestRunTableWithStore:
                 )])
             ],
         )
-        # The params must match the resolved cell exactly — the engine is part
-        # of the canonical key, so a TO recorded under another backend would
-        # (correctly) not be reused.
+        # The params must match the resolved cell exactly (budget and engine
+        # included) for the recorded TO to be found.
         to_outcome = CaseOutcome(
             task="sba-synthesis",
             params={"exchange": "floodset", "num_agents": 2, "max_faulty": 1,
@@ -231,47 +251,9 @@ class TestRunTableWithStore:
                             resume=True, verbose=False)
         assert retried.cell((0,), "synth") != "TO"
 
-    def test_resume_never_mixes_engines(self, tmp_path):
-        """Outcomes journalled under one engine are not reused by another."""
-        from repro.harness.tables import table3_spec
-
-        kwargs = dict(max_n=2, )
-        store_path = tmp_path / "t3.jsonl"
-        first = run_table(
-            table3_spec(**kwargs, engine="bitset"), timeout=60.0,
-            store=ResultStore(store_path), verbose=False,
-        )
-        bitset_records = len(ResultStore(store_path))
-
-        # Resuming under the symbolic engine finds no reusable cells: every
-        # canonical key differs in the engine parameter, so the grid re-runs
-        # and the journal doubles.
-        resumed = run_table(
-            table3_spec(**kwargs, engine="symbolic"), timeout=60.0,
-            store=ResultStore(store_path), resume=True, verbose=False,
-        )
-        reloaded = ResultStore(store_path)
-        assert len(reloaded) == 2 * bitset_records
-        for (row_key, column), outcome in resumed.outcomes.items():
-            assert outcome.params["engine"] == "symbolic", (row_key, column)
-        # Both engines agree cell for cell on the qualitative results.
-        for key, outcome in first.outcomes.items():
-            mirror = resumed.outcomes[key]
-            for field_name in ("states", "iterations", "converged"):
-                assert outcome.result[field_name] == mirror.result[field_name]
-
-        # Resuming again under the original engine reuses its own cells.
-        rerun = run_table(
-            table3_spec(**kwargs, engine="bitset"), timeout=60.0,
-            store=ResultStore(store_path), resume=True, verbose=False,
-        )
-        assert len(ResultStore(store_path)) == 2 * bitset_records
-        for key, outcome in rerun.outcomes.items():
-            assert outcome.seconds == first.outcomes[key].seconds
-
-    def test_pre_engine_journals_resume_under_bitset_only(self, tmp_path):
-        """Old journals (no engine in cell params) stay resumable — but only
-        by the bitset engine, which is what they were recorded under."""
+    def test_pre_engine_journals_resume_under_bitset(self, tmp_path):
+        """Old journals (no engine in cell params) stay resumable: they were
+        recorded under the bitset engine."""
         from repro.harness.tables import table3_spec
 
         legacy_params = {"exchange": "emin", "num_agents": 2, "max_faulty": 1,
@@ -291,33 +273,13 @@ class TestRunTableWithStore:
             reloaded.get("eba-synthesis", modern_params).seconds == 1.25
         )
         assert reloaded.budget_for("eba-synthesis", modern_params) == 60.0
-        assert reloaded.get(
-            "eba-synthesis", dict(legacy_params, engine="symbolic")
-        ) is None
 
-        # End to end: resuming the bitset grid reuses the legacy cell...
+        # End to end: resuming the grid reuses the legacy cell.
         resumed = run_table(
-            table3_spec(max_n=2, engine="bitset"), timeout=60.0,
+            table3_spec(max_n=2), timeout=60.0,
             store=ResultStore(store.path), resume=True, verbose=False,
         )
         assert resumed.outcomes[((2, 1), "emin-crash")].seconds == 1.25
-        # ...while a symbolic resume re-runs it.
-        symbolic = run_table(
-            table3_spec(max_n=2, engine="symbolic"), timeout=60.0,
-            store=ResultStore(store.path), resume=True, verbose=False,
-        )
-        assert symbolic.outcomes[((2, 1), "emin-crash")].seconds != 1.25
-
-    def test_spec_record_carries_the_engine(self, tmp_path):
-        from repro.harness.tables import render_json, table3_spec
-
-        store = ResultStore(tmp_path / "t3.jsonl")
-        run_table(table3_spec(max_n=2, engine="symbolic"), timeout=60.0,
-                  store=store, verbose=False)
-        reloaded = ResultStore(store.path)
-        result = reloaded.load_result()
-        assert result.spec.engine == "symbolic"
-        assert '"engine": "symbolic"' in render_json(result)
 
     def test_rerun_without_resume_overwrites(self, tmp_path):
         spec = table1_spec(**self.SPEC_KWARGS)
@@ -420,7 +382,7 @@ class TestScenarioKeyNormalisation:
         from repro.harness.tables import table3_spec
 
         resumed = run_table(
-            table3_spec(max_n=2, engine="bitset"), timeout=60.0,
+            table3_spec(max_n=2), timeout=60.0,
             store=ResultStore(store.path), resume=True, verbose=False,
         )
         assert resumed.outcomes[((2, 1), "emin-sending")].seconds == 7.25
