@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import List, Tuple
@@ -165,6 +166,19 @@ class _LatencySession(Session):
         return super()._invoke_build(key, build)
 
 
+class _SingleLockSession(_LatencySession):
+    """The pre-striping baseline: every build under one re-entrant lock
+    (a result build nests its model and space builds)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._single_lock = threading.RLock()
+
+    def _invoke_build(self, key, build):
+        with self._single_lock:
+            return super()._invoke_build(key, build)
+
+
 def _diverse_mix() -> List[Tuple[str, Scenario]]:
     """All-cold diverse traffic: every (op, scenario) is a distinct result key."""
     if SMOKE:
@@ -191,8 +205,6 @@ def _diverse_mix() -> List[Tuple[str, Scenario]]:
 def _threaded_barrage(session: Session, mix: List[Tuple[str, Scenario]],
                       threads: int) -> float:
     """Wall-clock for ``threads`` workers draining ``mix`` round-robin."""
-    import threading
-
     errors: list = []
 
     def worker(lane: int) -> None:
@@ -219,7 +231,7 @@ def test_striped_session_beats_the_single_lock_baseline_at_four_threads():
     threads = 2 if SMOKE else 4
     mix = _diverse_mix()
 
-    baseline = _LatencySession(concurrent_builds=False)  # pre-redesign: one lock
+    baseline = _SingleLockSession()
     baseline_seconds = _threaded_barrage(baseline, mix, threads)
 
     striped = _LatencySession()
@@ -267,8 +279,6 @@ def test_striped_session_beats_the_single_lock_baseline_at_four_threads():
 
 def test_concurrent_identical_cold_requests_coalesce_to_one_build():
     """Two identical cold requests racing: one build, coalesce counter = 1."""
-    import threading
-
     built: list = []
 
     class CountingLatencySession(_LatencySession):
@@ -320,9 +330,31 @@ PREFORK_SPEEDUP_FLOOR = 2.0
 
 PREFORK_WORKERS = 2 if SMOKE else 4
 
-#: Injected per-cold-build latency for the simulated-GIL mode (seconds) —
-#: see :data:`repro.api.service.BUILD_DELAY_ENV`.
+#: Injected per-cold-build latency for the simulated-GIL mode (seconds).
 SIMULATED_BUILD_SECONDS = 0.05 if SMOKE else 0.25
+
+#: ``python -c`` bootstrap for the simulated-GIL server: every cold result
+#: build sleeps under a process-wide lock (created unlocked before the fork,
+#: so each worker holds its own copy), then the real ``repro serve`` runs.
+#: Argument 1 is the sleep, the rest is the ``repro`` command line.
+_SIMULATED_GIL_BOOTSTRAP = """
+import sys, threading, time
+from repro.api.session import Session
+from repro.cli import main
+
+delay = float(sys.argv[1])
+gil_model = threading.Lock()
+invoke_build = Session._invoke_build
+
+def _invoke_build(self, key, build):
+    if key[0] == "result":
+        with gil_model:
+            time.sleep(delay)
+    return invoke_build(self, key, build)
+
+Session._invoke_build = _invoke_build
+sys.exit(main(sys.argv[2:]))
+"""
 
 #: Real cold builds only parallelise across processes when there are cores
 #: to run them on; below this the benchmark injects the simulated-GIL
@@ -355,12 +387,15 @@ def _spawn_serve(workers: int) -> Tuple[object, str]:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-    if not _REAL_COMPUTE:
-        env["REPRO_SERVE_BUILD_DELAY"] = str(SIMULATED_BUILD_SECONDS)
+    serve = ["serve", "--port", "0", "--workers", str(workers), "--quiet"]
+    if _REAL_COMPUTE:
+        command = [sys.executable, "-m", "repro"] + serve
+    else:
+        command = [sys.executable, "-c", _SIMULATED_GIL_BOOTSTRAP,
+                   str(SIMULATED_BUILD_SECONDS)] + serve
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", str(workers), "--quiet"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env,
     )
     banner = process.stdout.readline()
     match = re.search(r"http://[\d.]+:(\d+)", banner)
@@ -372,7 +407,6 @@ def _drive_prefork(workers: int, mix: List[Tuple[str, dict]],
                    clients: int) -> float:
     """Wall-clock for ``clients`` threads draining ``mix`` once, cold."""
     import signal
-    import threading
     import urllib.request
 
     process, base = _spawn_serve(workers)
@@ -416,11 +450,11 @@ def test_prefork_workers_beat_one_process_on_cold_traffic():
     Each server is a fresh subprocess with no store, so every query is a
     cold CPU-bound build; clients use one connection per request, so the
     kernel spreads the load across the workers at ``accept()``.  On hosts
-    with fewer cores than workers the builds carry the documented
-    simulated-GIL latency seam instead of real compute (recorded in the
-    ``mode`` field): the sleep holds a process-wide lock, so it serialises
-    within a process and parallelises across forked workers exactly as
-    GIL-bound compute does on a machine with the cores to run it.
+    with fewer cores than workers the servers run under the simulated-GIL
+    bootstrap instead of on real compute (recorded in the ``mode`` field):
+    the sleep holds a process-wide lock, so it serialises within a process
+    and parallelises across forked workers exactly as GIL-bound compute
+    does on a machine with the cores to run it.
     """
     mix = _prefork_mix()
     clients = 4 if SMOKE else 8
@@ -442,7 +476,8 @@ def test_prefork_workers_beat_one_process_on_cold_traffic():
             "note": "real-compute when the host has at least as many cores "
                     "as workers; otherwise each cold build carries "
                     f"{SIMULATED_BUILD_SECONDS}s of injected latency under "
-                    "a process-wide lock (REPRO_SERVE_BUILD_DELAY), which "
+                    "a process-wide lock (patched into Session._invoke_build "
+                    "by the benchmark's server bootstrap), which "
                     "serialises inside a process and parallelises across "
                     "forked workers exactly like GIL-bound compute",
             "queries": len(mix),
@@ -466,7 +501,6 @@ def test_prefork_workers_beat_one_process_on_cold_traffic():
 
 def test_serve_answers_concurrent_repeated_queries_from_the_session_cache():
     """The JSON service on one shared session: concurrent repeats are hits."""
-    import threading
     import urllib.request
 
     from repro.api.service import make_server

@@ -39,6 +39,10 @@ versioned result JSON, shared safely between processes:
 ``repro serve --store DIR`` points the serving session here, so a restarted
 or second server process answers repeated queries from the store tier
 without rebuilding anything.
+
+Each store counts its events in its own metrics registry
+(``ArtefactStore.metrics``, the ``repro_store_events_total`` series);
+:meth:`ArtefactStore.stats` is a view over those series.
 """
 
 from __future__ import annotations
@@ -75,6 +79,10 @@ _BOUNDED_DIRS = (_RESULTS_DIR, _ARTEFACTS_DIR)
 #: during compaction.
 _STALE_TMP_SECONDS = 3600.0
 
+#: The store's events, in the order :meth:`ArtefactStore.stats` lists them.
+_EVENTS = ("hits", "misses", "writes", "write_errors", "quarantined",
+           "compactions", "compacted")
+
 
 class ArtefactStore:
     """A process-shared, crash-consistent store of serialised artefacts.
@@ -90,7 +98,6 @@ class ArtefactStore:
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
         compact_interval: int = 64,
-        metrics: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
@@ -107,20 +114,10 @@ class ArtefactStore:
         self._writes_since_compact = 0
         self._compact_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "writes": 0,
-            "write_errors": 0,
-            "quarantined": 0,
-            "compactions": 0,
-            "compacted": 0,
-        }
-        registry = obs_metrics.REGISTRY if metrics is None else metrics
-        self._m_events = registry.counter(
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._m_events = self.metrics.counter(
             "repro_store_events_total",
-            "Persistent artefact-store events (hits, misses, writes, "
-            "write_errors, quarantined, compactions, compacted)",
+            f"Persistent artefact-store events ({', '.join(_EVENTS)})",
         )
         for subdir in (_RESULTS_DIR, _QUARANTINE_DIR):
             (self.root / subdir).mkdir(parents=True, exist_ok=True)
@@ -152,11 +149,6 @@ class ArtefactStore:
 
     # ------------------------------------------------------------- plumbing
 
-    def _count(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counters[counter] += amount
-        self._m_events.inc(amount, event=counter)
-
     @staticmethod
     def _touch(path: Path) -> None:
         """Refresh an entry's mtime so compaction sees it as recently used."""
@@ -167,8 +159,8 @@ class ArtefactStore:
 
     def stats(self) -> Dict[str, int]:
         """A fresh snapshot of the store counters (safe to hand out)."""
-        with self._lock:
-            return dict(self._counters)
+        totals = self._m_events.totals("event")
+        return {event: totals.get(event, 0) for event in _EVENTS}
 
     def _atomic_write(self, path: Path, data: bytes) -> bool:
         """Publish ``data`` at ``path`` via write-to-temp + rename.
@@ -187,14 +179,14 @@ class ArtefactStore:
             fd = None
             os.replace(tmp_name, str(path))
             tmp_name = None
-            self._count("writes")
+            self._m_events.inc(event="writes")
             self._maybe_compact()
             return True
         except OSError as exc:
             reason = errno.errorcode.get(exc.errno, exc.errno) if exc.errno else exc
             logger.warning("artefact store: write of %s failed (%s); "
                            "continuing without persisting", path.name, reason)
-            self._count("write_errors")
+            self._m_events.inc(event="write_errors")
             return False
         finally:
             if fd is not None:
@@ -255,7 +247,7 @@ class ArtefactStore:
                 os.unlink(str(path))
             except OSError:  # raced: the link is what mattered
                 pass
-        self._count("quarantined")
+        self._m_events.inc(event="quarantined")
         logger.warning(
             "artefact store: quarantined %s (%s)", path.name, reason
         )
@@ -370,8 +362,8 @@ class ArtefactStore:
                 removed += 1
                 removed_bytes += size
         if removed:
-            self._count("compacted", removed)
-        self._count("compactions")
+            self._m_events.inc(removed, event="compacted")
+        self._m_events.inc(event="compactions")
         if removed:
             logger.info(
                 "artefact store: compacted %d entries (%d bytes); "
@@ -403,7 +395,7 @@ class ArtefactStore:
         except (TypeError, ValueError) as exc:  # pragma: no cover - defensive
             logger.warning("artefact store: unserialisable result for %s: %s",
                            path.name, exc)
-            self._count("write_errors")
+            self._m_events.inc(event="write_errors")
             return False
         return self._atomic_write(path, data)
 
@@ -417,24 +409,24 @@ class ArtefactStore:
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
-            self._count("misses")
+            self._m_events.inc(event="misses")
             return None
         except OSError as exc:  # pragma: no cover - unreadable, not absent
             self.quarantine(path, f"unreadable: {exc}")
-            self._count("misses")
+            self._m_events.inc(event="misses")
             return None
         try:
             record = json.loads(raw)
         except ValueError as exc:
             self.quarantine(path, f"corrupt JSON: {exc}")
-            self._count("misses")
+            self._m_events.inc(event="misses")
             return None
         reason = self._validate_result_record(record, op, scenario_key)
         if reason is not None:
             self.quarantine(path, reason)
-            self._count("misses")
+            self._m_events.inc(event="misses")
             return None
-        self._count("hits")
+        self._m_events.inc(event="hits")
         self._touch(path)
         return record["result"]
 

@@ -133,7 +133,7 @@ class WeightedLRU:
     """An insertion-ordered map bounded by entry count *and* total weight.
 
     Not thread-safe on its own — the session serialises access behind its
-    bookkeeping lock.  ``put`` returns the evicted ``(key, value)`` pairs so
+    cache lock.  ``put`` returns the evicted ``(key, value)`` pairs so
     callers can count or log them; eviction scans from the least recently
     used end, skipping ``pinned`` keys and the key just inserted.  If every
     candidate is pinned the cache is left temporarily over budget rather

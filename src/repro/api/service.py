@@ -20,7 +20,7 @@ Endpoints (all JSON):
 * ``GET /stats`` — the session's cumulative cache statistics; under
   ``--workers N`` also every worker's labelled counters plus their
   aggregate.
-* ``GET /metrics`` — Prometheus text exposition of the process metrics
+* ``GET /metrics`` — Prometheus text exposition of the server's metrics
   (per-endpoint request counters and latency histograms, session cache
   tiers, store events); under ``--workers N`` any worker answers for the
   whole front with per-worker labelled series.
@@ -105,16 +105,6 @@ DRAIN_SECONDS = 10.0
 #: before escalating to SIGKILL.
 SHUTDOWN_GRACE_SECONDS = 10.0
 
-#: Benchmark seam: when this environment variable holds a positive float,
-#: every cold *result* build additionally sleeps that many seconds while
-#: holding a process-wide lock.  That models CPU-bound pure-Python compute
-#: faithfully with respect to the GIL — serialised against every other
-#: build in the same process, concurrent across forked workers — which is
-#: what ``benchmarks/test_perf_api.py`` needs to measure the pre-fork
-#: front on single-core machines where real compute cannot parallelise
-#: anywhere.  Unset (the default) it changes nothing.
-BUILD_DELAY_ENV = "REPRO_SERVE_BUILD_DELAY"
-
 #: Test seam: when this environment variable holds a positive float, the
 #: ``--preload`` build additionally sleeps that many seconds, so tests and CI
 #: can observe the not-yet-ready window (``/health`` with ``ready: false``)
@@ -133,7 +123,8 @@ DEFAULT_RESTART_BACKOFF = 1.0
 #: Without it the kernel's LIFO ``accept()`` wake-up lets one worker hoard
 #: connections — its accept loop stays fast even while its handler threads
 #: queue behind the GIL.  Two keeps a build and a quick request (a hit, a
-#: ``/stats`` probe) concurrent without letting a backlog form.
+#: ``/stats`` probe) concurrent without letting a backlog form.  Below it,
+#: a worker holding a connection lets an idle sibling accept first.
 WORKER_MAX_INFLIGHT = 2
 
 _STATS_DIR_NAME = "stats"
@@ -197,6 +188,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self._body_consumed = False
         self._connection_dead = False
         self._status: Optional[int] = None
+        self._accounted = False
         self._request_started = time.perf_counter()
         # Honour a well-formed incoming trace ID, mint one otherwise; the
         # effective ID is echoed back in the response headers and rides the
@@ -206,15 +198,24 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         )
         self.server.request_begun()
 
-    def _end_request(self) -> None:
-        elapsed = time.perf_counter() - self._request_started
+    def _account_request(self) -> None:
+        """Count this request and publish the worker's record, once: after
+        the response headers (so publishing does not delay them) and before
+        the body, so every worker's views include the request."""
+        if self._accounted:
+            return
+        self._accounted = True
         self.server.observe_request(
             _endpoint_label(self.path), self.command,
-            self._status if self._status is not None else 0, elapsed,
+            self._status if self._status is not None else 0,
+            time.perf_counter() - self._request_started,
         )
+        self.server.publish_stats()
+
+    def _end_request(self) -> None:
+        self._account_request()
         obs_trace.end(self._trace_token)
         self.server.request_done()
-        self.server.publish_stats()
 
     def _read_body(self) -> object:
         try:
@@ -270,6 +271,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 # self.close_connection, ending the keep-alive loop.
                 self.send_header("Connection", "close")
             self.end_headers()
+            self._account_request()
             self.wfile.write(body)
         except (ConnectionError, socket.timeout) as exc:
             # The client went away mid-response.  That is terminal for the
@@ -406,9 +408,11 @@ class ReproServer(ThreadingHTTPServer):
     ``listening_socket`` adopts an already-bound socket instead of binding a
     new one — the pre-fork front binds once in the parent and every forked
     worker accepts on its inherited copy.  ``worker_label``/``stats_dir``
-    wire the worker into the aggregated ``/stats`` view: after each request
-    the worker publishes its counter snapshot to ``stats_dir``, and any
-    worker answering ``/stats`` reads all of its siblings' snapshots back.
+    wire the worker into the aggregated ``/stats`` view: before each
+    response body goes out the worker publishes its counter snapshot to
+    ``stats_dir``, and any worker answering ``/stats`` reads all of its
+    siblings' snapshots back.  ``metrics`` is the server's own registry
+    (HTTP series and cache gauges).
     """
 
     daemon_threads = True
@@ -427,6 +431,10 @@ class ReproServer(ThreadingHTTPServer):
         super().__init__(address, ReproRequestHandler, bind_and_activate=False)
         if listening_socket is not None:
             self.socket.close()
+            # A new connection wakes every worker selecting on this socket
+            # and one wins accept(); non-blocking, the others get "no
+            # request" instead of parking where shutdown() cannot reach.
+            listening_socket.setblocking(False)
             self.socket = listening_socket
             host, port = listening_socket.getsockname()[:2]
             self.server_address = (host, port)
@@ -441,7 +449,7 @@ class ReproServer(ThreadingHTTPServer):
         self.stats_dir = stats_dir
         self.max_inflight = max_inflight
         self.started_at = time.time()
-        self.metrics = obs_metrics.REGISTRY
+        self.metrics = obs_metrics.MetricsRegistry()
         self._m_http = self.metrics.counter(
             "repro_http_requests_total",
             "HTTP requests by endpoint, method and status",
@@ -469,6 +477,7 @@ class ReproServer(ThreadingHTTPServer):
         self._active_requests = 0  # guarded by: _active_lock
         self._active_connections = 0  # guarded by: _active_lock
         self._active_lock = threading.Lock()
+        self._publish_lock = threading.Lock()
 
     @property
     def ready(self) -> bool:
@@ -489,13 +498,17 @@ class ReproServer(ThreadingHTTPServer):
         # before the handler thread has even begun the request, so a
         # requests-begun counter would race and let extra connections in.
         # The wait breaks immediately on shutdown so a saturated worker
-        # still drains promptly.
+        # still drains promptly.  Below saturation, a worker holding a
+        # connection waits a tick so that an idle sibling wins accept().
         if self.max_inflight is not None:
             while (self.active_connections >= self.max_inflight
                    and not getattr(self, "_BaseServer__shutdown_request",
                                    False)):
                 time.sleep(0.005)
+            if self.active_connections:
+                time.sleep(0.005)
         request, client_address = super().get_request()
+        request.setblocking(True)  # BSDs pass the listener's O_NONBLOCK on
         with self._active_lock:
             self._active_connections += 1
         return request, client_address
@@ -531,28 +544,35 @@ class ReproServer(ThreadingHTTPServer):
 
     def observe_request(self, endpoint: str, method: str, status: int,
                         seconds: float) -> None:
-        """Record one finished HTTP request in the process metrics."""
+        """Record one finished HTTP request in the server's metrics."""
         self._m_http.inc(endpoint=endpoint, method=method, status=status)
         self._m_http_seconds.observe(seconds, endpoint=endpoint)
 
-    def _refresh_gauges(self) -> None:
+    def metrics_snapshot(self) -> Dict[str, dict]:
+        """The union of the server's (gauges refreshed), the session's and
+        the store's metrics; their metric names are disjoint."""
         stats = self.session.stats()
         self._m_cache_entries.set(stats.entries)
         self._m_cache_weight.set(stats.weight_bytes)
+        snapshot = self.metrics.snapshot()
+        snapshot.update(self.session.metrics.snapshot())
+        if self.session.store is not None:
+            snapshot.update(self.session.store.metrics.snapshot())
+        return snapshot
 
     def metrics_exposition(self) -> str:
         """The Prometheus text body for ``GET /metrics``.
 
-        Single-process servers expose their own registry.  Pre-fork workers
+        Single-process servers expose their own snapshot.  Pre-fork workers
         publish their snapshot into the shared ``stats/`` directory on every
         request, so any worker can render the whole front: each sibling's
         series carries a ``worker`` label (summing over it gives the
         front-wide aggregate, the way any Prometheus setup aggregates
         instances).
         """
-        self._refresh_gauges()
         if self.stats_dir is None:
-            return self.metrics.exposition()
+            return obs_metrics.render_exposition(
+                [(None, self.metrics_snapshot())])
         self.publish_stats()  # this worker's own snapshot must be fresh
         snapshots = []
         for label, record in sorted(self._read_worker_records().items()):
@@ -564,27 +584,31 @@ class ReproServer(ThreadingHTTPServer):
     # ------------------------------------------------- per-worker statistics
 
     def publish_stats(self) -> None:
-        """Write this worker's labelled counter snapshot for aggregation."""
+        """Write this worker's labelled counter snapshot for aggregation.
+
+        Serialised per server, so concurrent handler threads never write the
+        one temporary file at once, and the last record is the freshest.
+        """
         if self.stats_dir is None or self.worker_label is None:
             return
-        self._refresh_gauges()
-        record = {
-            "worker": self.worker_label,
-            "pid": os.getpid(),
-            "updated": time.time(),
-            "cache": self.session.stats().to_json(),
-            "metrics": self.metrics.snapshot(),
-        }
         path = Path(self.stats_dir) / f"{self.worker_label}.json"
         tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(record, sort_keys=True))
-            os.replace(str(tmp), str(path))
-        except OSError:  # stats are best-effort; serving must not care
+        with self._publish_lock:
+            record = {
+                "worker": self.worker_label,
+                "pid": os.getpid(),
+                "updated": time.time(),
+                "cache": self.session.stats().to_json(),
+                "metrics": self.metrics_snapshot(),
+            }
             try:
-                tmp.unlink()
-            except OSError:
-                pass
+                tmp.write_text(json.dumps(record, sort_keys=True))
+                os.replace(str(tmp), str(path))
+            except OSError:  # stats are best-effort; serving must not care
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
 
     def _read_worker_records(self) -> Dict[str, Dict[str, object]]:
         """Every sibling worker's published snapshot, keyed by label."""
@@ -646,31 +670,13 @@ def _build_session(
     store_max_entries: Optional[int] = None,
     preloaded: Optional[Preloader] = None,
 ) -> Session:
-    """The serving session, honouring the benchmark build-delay seam."""
+    """The serving session, on the persistent tier when ``store_dir`` is set."""
     store = None
     if store_dir is not None:
         store = ArtefactStore(
             store_dir, max_bytes=store_max_bytes, max_entries=store_max_entries,
         )
-    try:
-        delay = float(os.environ.get(BUILD_DELAY_ENV) or 0.0)
-    except ValueError:
-        delay = 0.0
-    if delay <= 0:
-        return Session(max_entries=cache_size, store=store, preloaded=preloaded)
-
-    gil_model = threading.Lock()  # one per process, like the GIL it models
-
-    class _SimulatedComputeSession(Session):
-        def _invoke_build(self, key, build):
-            if key[0] == "result":
-                with gil_model:
-                    time.sleep(delay)
-            return super()._invoke_build(key, build)
-
-    return _SimulatedComputeSession(
-        max_entries=cache_size, store=store, preloaded=preloaded
-    )
+    return Session(max_entries=cache_size, store=store, preloaded=preloaded)
 
 
 def _run_preload(preloader: Preloader, cells) -> Dict[str, int]:
@@ -694,8 +700,7 @@ def _answer_while_preloading(
     ``/health`` with ``ready: false``, 503 for anything else, every response
     ``Connection: close`` — until the workers fork and take over.  The
     listening socket is put in timeout mode for the accept loop; the caller
-    restores blocking mode (``settimeout(None)``) before forking, since the
-    underlying O_NONBLOCK flag would ride the fork into every worker.
+    takes it out again (``settimeout(None)``) once the responder stops.
     """
 
     def _respond(conn: socket.socket) -> None:
@@ -877,7 +882,7 @@ def _serve_prefork(
         finally:
             gate_stop.set()
             gate.join()
-            listening.settimeout(None)  # O_NONBLOCK must not ride the fork
+            listening.settimeout(None)  # the gate's accept timeout ends here
 
     def spawn(index: int) -> int:
         pid = os.fork()

@@ -18,8 +18,8 @@ concurrent clients (``repro serve`` runs exactly one):
   lock: two different scenarios build concurrently, while two identical
   cold requests coalesce onto a single build — the second holder finds the
   first holder's value and is counted in ``stats().coalesced``.  The
-  session's own bookkeeping lock is only ever held for dictionary
-  operations, never across a build.
+  session's own cache lock is only ever held for dictionary operations,
+  never across a build.
 
 * **Weight-aware eviction.**  The cache
   (:class:`~repro.api.cache.WeightedLRU`) is bounded by estimated resident
@@ -33,8 +33,10 @@ concurrent clients (``repro serve`` runs exactly one):
   consult the on-disk store before building and publish what they build, so
   a restarted or second process starts warm.
 
-Queries return the typed results of :mod:`repro.api.results`;
-:meth:`Session.stats` reports per-tier counters as an immutable snapshot.
+Queries return the typed results of :mod:`repro.api.results`.  The
+session counts in its own :class:`~repro.obs.metrics.MetricsRegistry`
+(``Session.metrics``) and nowhere else: :meth:`Session.stats` and
+:meth:`Session.build_seconds` are views that sum its series.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ class SessionStats:
     another thread's identical build and then read its result;
     ``preloaded`` counts artefacts served from the session's
     :class:`~repro.runtime.preload.Preloader` instead of being built (like
-    store-tier hits, they are neither cache hits nor misses).  ``store``
-    is the persistent tier's counter snapshot (read-only mapping), or None
-    when the session has no store.  The snapshot is taken under the
-    session's bookkeeping lock and every field is frozen or copied, so a
-    service response can hand it out without leaking mutable session state.
+    store-tier hits, they are neither cache hits nor misses).  The four
+    counts are sums over the session's ``repro_session_lookups_total`` and
+    ``repro_session_coalesced_total`` series.  ``store`` is the persistent
+    tier's counter snapshot (read-only mapping), or None when the session
+    has no store.  Every field is frozen or copied, so a service response
+    can hand it out without leaking mutable session state.
     """
 
     hits: int
@@ -178,10 +181,9 @@ class Session:
     miss the cache are served from the preloaded read-only artefacts
     (exact horizon or any prefix of it) instead of building — the mechanism
     behind both ``table --share-spaces`` children and ``serve --preload``
-    workers.  ``concurrent_builds=False`` restores the pre-striping
-    behaviour (every build under one session-wide lock) — kept as the
-    measurable baseline for the concurrency benchmarks, not for production
-    use.
+    workers.  ``metrics`` is the session's own registry (lookups by kind
+    and outcome, coalesced waits, build and query histograms), the only
+    place it counts.
     """
 
     def __init__(
@@ -189,9 +191,7 @@ class Session:
         max_entries: int = 64,
         max_weight_bytes: int = DEFAULT_MAX_WEIGHT_BYTES,
         store: Optional[ArtefactStore] = None,
-        concurrent_builds: bool = True,
         preloaded: Optional["Preloader"] = None,
-        metrics: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -201,24 +201,13 @@ class Session:
             )
         self.max_entries = max_entries
         self.max_weight_bytes = max_weight_bytes
-        self._lock = threading.RLock()  # bookkeeping only: cache + counters
+        self._lock = threading.Lock()  # the cache only, never across a build
         self._build_locks = KeyedLocks()
         self._cache = WeightedLRU(max_entries, max_weight_bytes)  # guarded by: _lock
         self._store = store
-        self._concurrent_builds = concurrent_builds
         self._preloaded = preloaded
-        self._hits = 0  # guarded by: _lock
-        self._misses = 0  # guarded by: _lock
-        self._coalesced = 0  # guarded by: _lock
-        self._preloaded_hits = 0  # guarded by: _lock
-        self._build_seconds: Dict[str, float] = {}  # guarded by: _lock
-        # Process-level metrics (the global registry unless injected).
-        # Labelled by artefact kind (cache-key prefix) and lookup outcome,
-        # these are the cross-session view the serve workers expose on
-        # /metrics; the SessionStats counters above stay the per-session
-        # source of truth for /stats.
-        registry = obs_metrics.REGISTRY if metrics is None else metrics
-        self.metrics_registry = registry
+        # Labelled by artefact kind (cache-key prefix) and lookup outcome.
+        registry = self.metrics = obs_metrics.MetricsRegistry()
         self._m_lookups = registry.counter(
             "repro_session_lookups_total",
             "Session artefact-cache lookups by artefact kind and outcome "
@@ -267,9 +256,6 @@ class Session:
                 value = self._cache.get(key)
             except KeyError:
                 return False, None
-            self._hits += 1
-            if coalesced:
-                self._coalesced += 1
         self._count_lookup(key[0], "hit")
         if coalesced:
             self._m_coalesced.inc(kind=key[0])
@@ -279,8 +265,6 @@ class Session:
         if built:
             self._count_lookup(key[0], "miss")
         with self._lock:
-            if built:
-                self._misses += 1
             # Keys with an in-flight build or a coalescing waiter are
             # pinned: evicting them would make the waiter rebuild what was
             # just built.
@@ -293,7 +277,9 @@ class Session:
         """Run one artefact build (no session lock held).
 
         The test/benchmark seam: subclasses wrap this to count builds per
-        key or inject latency without touching the locking discipline.
+        key, inject latency or serialise builds behind one lock (the
+        benchmarks' single-lock baseline) without touching the locking
+        discipline.
         """
         return build()
 
@@ -302,12 +288,7 @@ class Session:
         start = time.perf_counter()
         with obs_trace.span(f"build.{kind}"):
             value = self._invoke_build(key, build)
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._build_seconds[kind] = (
-                self._build_seconds.get(kind, 0.0) + elapsed
-            )
-        self._m_build.observe(elapsed, kind=kind)
+        self._m_build.observe(time.perf_counter() - start, kind=kind)
         self._insert(key, value, built=True)
         self._store_put(key, value)
         return value
@@ -316,19 +297,6 @@ class Session:
         found, value = self._lookup(key)
         if found:
             return value
-        if not self._concurrent_builds:
-            # Baseline mode: the whole build happens under the session lock
-            # (the RLock keeps nested artefact builds re-entrant).
-            with self._lock:
-                found, value = self._lookup(key)
-                if found:
-                    return value
-                value = self._store_get(key)
-                if value is not None:
-                    self._count_lookup(key[0], "store")
-                    self._insert(key, value, built=False)
-                    return value
-                return self._build_and_cache(key, build)
         with self._build_locks.holding(key):
             # Someone may have finished this exact build while we waited.
             found, value = self._lookup(key, coalesced=True)
@@ -371,27 +339,31 @@ class Session:
     # ------------------------------------------------------------- statistics
 
     def stats(self) -> SessionStats:
-        """An immutable, consistent snapshot of the per-tier statistics.
+        """An immutable snapshot of the per-tier statistics.
 
-        Taken under the bookkeeping lock — which striped building only ever
-        holds for dictionary operations, so liveness probes (``repro
-        serve``'s ``/health``) stay responsive during long builds.  The
-        store counters come back as a read-only mapping over a fresh copy;
-        mutating the snapshot (or its JSON form) cannot touch the session.
+        The counts are sums over the session's metrics series, coalesced
+        waits read first (a wait counts its hit first, so the view never
+        shows more waits than hits).  The cache lock is held only to read
+        the entry count and weight, so ``/health`` stays responsive during
+        long builds; the store counters are a read-only copy.
         """
+        coalesced = sum(self._m_coalesced.totals("kind").values())
+        lookups = self._m_lookups.totals("outcome")
         with self._lock:
-            store = self._store.stats() if self._store is not None else None
-            return SessionStats(
-                hits=self._hits,
-                misses=self._misses,
-                entries=len(self._cache),
-                max_entries=self.max_entries,
-                coalesced=self._coalesced,
-                preloaded=self._preloaded_hits,
-                weight_bytes=self._cache.total_weight,
-                max_weight_bytes=self.max_weight_bytes,
-                store=MappingProxyType(store) if store is not None else None,
-            )
+            entries = len(self._cache)
+            weight_bytes = self._cache.total_weight
+        store = self._store.stats() if self._store is not None else None
+        return SessionStats(
+            hits=lookups.get("hit", 0),
+            misses=lookups.get("miss", 0),
+            entries=entries,
+            max_entries=self.max_entries,
+            coalesced=coalesced,
+            preloaded=lookups.get("preloaded", 0),
+            weight_bytes=weight_bytes,
+            max_weight_bytes=self.max_weight_bytes,
+            store=MappingProxyType(store) if store is not None else None,
+        )
 
     def build_seconds(self, kinds: Sequence[str] = ("model", "space")) -> float:
         """Cumulative seconds this session spent building the given artefact
@@ -405,9 +377,10 @@ class Session:
         visible in journals.  Nested builds overlap (a space build's model
         lookup may itself build), so sums across kinds can slightly
         overcount; for model-within-space that overlap is sub-millisecond.
+        A view: the sums of the ``repro_session_build_seconds`` series.
         """
-        with self._lock:
-            return sum(self._build_seconds.get(kind, 0.0) for kind in kinds)
+        totals = self._m_build.totals("kind")
+        return sum(totals.get(kind, 0.0) for kind in kinds)
 
     def clear(self) -> None:
         """Drop every cached artefact (statistics and the store are kept)."""
@@ -433,8 +406,6 @@ class Session:
         value = fetch()
         if value is None:
             return None
-        with self._lock:
-            self._preloaded_hits += 1
         self._count_lookup(key[0], "preloaded")
         self._insert(key, value, built=False)
         return value

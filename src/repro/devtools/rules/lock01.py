@@ -1,7 +1,7 @@
 """LOCK01 — guarded attributes must be touched under their declared lock.
 
 The locking design of the serving layer lives in comments: ``Session``'s
-bookkeeping counters, ``KeyedLocks``' registry, and
+cache, ``KeyedLocks``' registry, and
 ``MetricsRegistry``'s metric table all say which lock protects them.
 This rule makes those comments executable: an ``__init__`` assignment
 annotated ``# guarded by: <lock>`` turns every later ``self.<attr>``

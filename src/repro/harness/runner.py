@@ -22,7 +22,6 @@ from typing import Dict, Optional
 
 from repro.harness import tasks as task_registry
 from repro.harness.tasks import TASKS
-from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.runtime.guard import WallClockExceeded, wall_clock_limit
 from repro.systems.space import SpaceBudgetExceeded
@@ -54,10 +53,10 @@ class CaseOutcome:
     result: Optional[Dict[str, object]] = None
     build_seconds: Optional[float] = None
     check_seconds: Optional[float] = None
-    #: The child's metrics-registry snapshot (cache lookups, build
+    #: The task session's metrics snapshot (cache lookups, build
     #: histograms) — journalled alongside the outcome so a finished grid can
     #: be mined for per-cell cache behaviour after the fact.  None for
-    #: timeouts, errors, in-process runs, and pre-observability journals.
+    #: timeouts, errors and pre-observability journals.
     metrics: Optional[Dict[str, object]] = None
     #: Per-kernel profile summary when the child ran with ``REPRO_PROFILE=1``
     #: (or ``--profile``); None otherwise.
@@ -88,21 +87,21 @@ def _child(task_name: str, params: Dict[str, object], pipe, preloaded=None) -> N
     # pickling); installing it here lets the task's session read the parent's
     # prebuilt space artefacts.
     task_registry.set_active_preloader(preloaded)
-    task_registry.consume_last_timing()
-    # The fork copied the parent's already-populated registry and profiling
-    # state; this cell's snapshot must start from zero.  Profiling enablement
-    # is re-derived from the environment here for the same reason — the
-    # parent imported repro.obs.profile long before --profile set the flag.
-    obs_metrics.REGISTRY.reset()
+    task_registry.consume_last_run()
+    # The fork copied the parent's profiling state; this cell's profile must
+    # start from zero.  Profiling enablement is re-derived from the
+    # environment here for the same reason — the parent imported
+    # repro.obs.profile long before --profile set the flag.
     obs_profile.maybe_enable_from_env()
     obs_profile.consume_summary()
     start = time.perf_counter()
     try:
         func = TASKS[task_name]
         result = func(**params)
-        timing = task_registry.consume_last_timing()
+        run = task_registry.consume_last_run()
+        timing = run[:2] if run else None
         observed = {
-            "metrics": obs_metrics.REGISTRY.snapshot(),
+            "metrics": run[2] if run else None,
             "profile": obs_profile.consume_summary(),
         }
         pipe.send(("ok", result, time.perf_counter() - start, timing, observed))
@@ -285,10 +284,9 @@ def run_case(
     if in_process or timeout is None:
         previous_preloader = task_registry._ACTIVE_PRELOADER
         task_registry.set_active_preloader(preloaded)
-        task_registry.consume_last_timing()
-        # In-process runs share the process registry with everything else in
-        # the process (benchmarks, earlier cells), so no per-cell metrics
-        # snapshot is attached; the profile is still collected per call.
+        task_registry.consume_last_run()
+        # The metrics snapshot comes from the task's own session, exactly as
+        # in a forked cell; the profile is collected per call.
         obs_profile.maybe_enable_from_env()
         obs_profile.consume_summary()
         start = time.perf_counter()
@@ -312,15 +310,16 @@ def run_case(
         finally:
             task_registry.set_active_preloader(previous_preloader)
         elapsed = time.perf_counter() - start
-        timing = task_registry.consume_last_timing()
+        run = task_registry.consume_last_run()
         return CaseOutcome(
             task=task,
             params=params,
             seconds=elapsed,
             timed_out=False,
             result=result,
-            build_seconds=timing[0] if timing else None,
-            check_seconds=timing[1] if timing else None,
+            build_seconds=run[0] if run else None,
+            check_seconds=run[1] if run else None,
+            metrics=run[2] if run else None,
             profile=obs_profile.consume_summary(),
         )
 

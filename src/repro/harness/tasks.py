@@ -21,8 +21,9 @@ plain kwargs):
   :class:`~repro.runtime.preload.Preloader` whose read-only artefacts every
   subsequent task's session consumes (forked children inherit the parent's
   preloader copy-on-write and the runner re-installs it after the fork).
-* :data:`LAST_TIMING` publishes each task's ``(build_seconds,
-  check_seconds)`` split, which the runner attaches to the cell outcome.
+* :data:`LAST_RUN` publishes each task's ``(build_seconds,
+  check_seconds)`` split and its session's metrics snapshot, which the
+  runner attaches to the cell outcome.
 
 The returned dictionaries are the typed results' legacy ``to_dict`` form,
 byte-compatible with pre-redesign result journals.
@@ -39,10 +40,11 @@ from repro.engines import DEFAULT_ENGINE
 #: The preloader whose artefacts task sessions consume (process-local).
 _ACTIVE_PRELOADER = None
 
-#: The ``(build_seconds, check_seconds)`` split of the last task run in this
-#: process, or None.  A side channel rather than a return-value change so the
-#: task result dictionaries stay byte-compatible with existing journals.
-LAST_TIMING: Optional[Tuple[float, float]] = None
+#: The ``(build_seconds, check_seconds, metrics)`` of the last task run in
+#: this process, or None; ``metrics`` is the task session's registry
+#: snapshot.  A side channel rather than a return-value change so the task
+#: result dictionaries stay byte-compatible with existing journals.
+LAST_RUN: Optional[Tuple[float, float, Dict[str, dict]]] = None
 
 
 def set_active_preloader(preloader) -> None:
@@ -51,15 +53,15 @@ def set_active_preloader(preloader) -> None:
     _ACTIVE_PRELOADER = preloader
 
 
-def consume_last_timing() -> Optional[Tuple[float, float]]:
-    """Pop the ``(build, check)`` seconds of the last task run, if any."""
-    global LAST_TIMING
-    timing, LAST_TIMING = LAST_TIMING, None
-    return timing
+def consume_last_run() -> Optional[Tuple[float, float, Dict[str, dict]]]:
+    """Pop the ``(build, check, metrics)`` of the last task run, if any."""
+    global LAST_RUN
+    run, LAST_RUN = LAST_RUN, None
+    return run
 
 
 def _run_timed(query: Callable[[Session], object]) -> Dict[str, object]:
-    """Run one query on a fresh session and publish its timing split.
+    """Run one query on a fresh session and publish its timing and metrics.
 
     ``build_seconds`` is the session's shareable-artefact build time (model +
     space) — the part a preloaded space amortises away; ``check_seconds`` is
@@ -67,13 +69,14 @@ def _run_timed(query: Callable[[Session], object]) -> Dict[str, object]:
     cells build their space incrementally inside the search, so their build
     share is reported as ~0 by construction: there is no shareable build.
     """
-    global LAST_TIMING
+    global LAST_RUN
     session = Session(preloaded=_ACTIVE_PRELOADER)
     start = time.perf_counter()
     result = query(session)
     total = time.perf_counter() - start
     build = session.build_seconds()
-    LAST_TIMING = (min(build, total), max(total - build, 0.0))
+    LAST_RUN = (min(build, total), max(total - build, 0.0),
+                session.metrics.snapshot())
     return result.to_dict()
 
 

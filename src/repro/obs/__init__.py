@@ -4,9 +4,11 @@ The package is deliberately dependency-free (stdlib only) and must never
 import from ``repro.api``/``repro.core``/``repro.harness`` — those layers
 import *us* so they can instrument themselves.
 
-- :mod:`repro.obs.metrics` — process-local, thread-safe metrics registry
-  (counters, gauges, fixed-bucket histograms) with Prometheus-style text
-  exposition and JSON snapshots that merge across pre-fork workers.
+- :mod:`repro.obs.metrics` — thread-safe metrics registries (counters,
+  gauges, fixed-bucket histograms) with Prometheus-style text exposition
+  and JSON snapshots that merge across pre-fork workers.  There is no
+  process-wide registry: each session, store and server owns one, and its
+  statistics are views over it.
 - :mod:`repro.obs.trace` — request-scoped trace IDs (contextvar-propagated,
   honoured from ``X-Repro-Trace-Id``) with nested spans emitted as
   structured JSON log records.

@@ -1,10 +1,16 @@
-"""Process-local, thread-safe metrics registry with Prometheus exposition.
+"""Thread-safe metrics registries with Prometheus exposition.
 
 The registry is deliberately small: counters, gauges, and fixed-bucket
 histograms, each supporting dynamic label sets.  Metrics are get-or-create
 (`registry.counter(name, ...)` returns the existing metric on repeat
-calls), so every layer can declare the series it needs without a central
+calls), so an owner can declare the series it needs without a central
 manifest.
+
+There is no process-wide registry: each object that counts (a
+``Session``, an ``ArtefactStore``, a ``ReproServer``) owns a
+:class:`MetricsRegistry` and counts there only; its statistics are views
+that sum those series (``totals``), so two owners in one process never
+see each other's counts.
 
 Two output forms:
 
@@ -19,9 +25,7 @@ Two output forms:
 
 Hot call sites pre-bind their label set (``metric.labels(...)``) and pay
 one ``list.append`` per event — atomic under the GIL, folded into the
-series lazily at read time; cold sites use the locked keyword forms.  A
-:data:`NULL` registry with no-op metrics exists so benchmarks can measure
-the instrumentation-off baseline.
+series lazily at read time; cold sites use the locked keyword forms.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL",
-    "REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
     "render_exposition",
     "CONTENT_TYPE",
@@ -127,6 +129,29 @@ class _Metric:
                     "series": self._snapshot_series()}
         return data
 
+    @staticmethod
+    def _total(value) -> float:
+        """What one series contributes to :meth:`totals`."""
+        return value
+
+    def totals(self, label: str) -> Dict[str, float]:
+        """Fold pending events and sum the series per value of ``label``.
+
+        The cheap read behind the owners' statistics views: no snapshot
+        dicts are built.  Series without the label are left out.
+        """
+        totals: Dict[str, float] = {}
+        total = self._total
+        with self._lock:
+            self._fold_locked()
+            for key, value in self._series.items():
+                for name, label_value in key:
+                    if name == label:
+                        totals[label_value] = (
+                            totals.get(label_value, 0) + total(value))
+                        break
+        return totals
+
 
 #: Pending-event buffers are folded into their series when they grow past
 #: this; bounds memory between scrapes on hot unscraped processes.
@@ -197,11 +222,6 @@ class Counter(_Metric):
                 self._series[key] = (
                     self._series.get(key, 0) + sum(self._drain(buf)))
 
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            self._fold_locked()
-            return self._series.get(_label_key(labels), 0)
-
     def _snapshot_series(self) -> List[dict]:
         return [{"labels": dict(key), "value": value}
                 for key, value in sorted(self._series.items())]
@@ -223,10 +243,6 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0)
 
     _snapshot_series = Counter._snapshot_series
 
@@ -275,35 +291,14 @@ class Histogram(_Metric):
                  "sum": total, "count": count}
                 for key, (counts, total, count) in sorted(self._series.items())]
 
+    @staticmethod
+    def _total(value) -> float:
+        return value[1]  # the sum of the observed values
+
     def snapshot(self) -> dict:
         data = super().snapshot()
         data["buckets"] = list(self.buckets)
         return data
-
-
-class _NullMetric:
-    """No-op stand-in: measures the instrumentation-off baseline."""
-
-    def inc(self, amount: float = 1, **labels: object) -> None:
-        pass
-
-    def dec(self, amount: float = 1, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, value: float, **labels: object) -> None:
-        pass
-
-    def labels(self, **labels: object) -> "_NullMetric":
-        return self
-
-    def value(self, **labels: object) -> float:
-        return 0
-
-
-_NULL_METRIC = _NullMetric()
 
 
 class MetricsRegistry:
@@ -344,19 +339,6 @@ class MetricsRegistry:
             raise TypeError(f"{name} already registered as {metric.kind}")
         return metric
 
-    def reset(self) -> None:
-        """Drop all recorded series (metric definitions survive).
-
-        Used by forked grid workers: the child inherits the parent's
-        registry contents over fork and must start its cell from zero.
-        """
-        with self._lock:
-            for metric in self._metrics.values():
-                metric._series.clear()
-                # Clear in place: bound children hold direct buffer refs.
-                for buf in metric._pending.values():
-                    del buf[:]
-
     def snapshot(self) -> Dict[str, dict]:
         with self._lock:
             metrics = list(self._metrics.items())
@@ -364,25 +346,6 @@ class MetricsRegistry:
 
     def exposition(self) -> str:
         return render_exposition([(None, self.snapshot())])
-
-
-class _NullRegistry(MetricsRegistry):
-    """Registry whose metrics never record anything."""
-
-    def counter(self, name: str, help: str = "") -> Counter:  # type: ignore[override]
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    gauge = counter  # type: ignore[assignment]
-
-    def histogram(self, name: str, help: str = "", buckets=DEFAULT_LATENCY_BUCKETS):  # type: ignore[override]
-        return _NULL_METRIC  # type: ignore[return-value]
-
-
-#: The process-wide default registry.
-REGISTRY = MetricsRegistry()
-
-#: Registry of no-op metrics (instrumentation-off baseline for benchmarks).
-NULL = _NullRegistry()
 
 
 def render_exposition(

@@ -9,10 +9,13 @@ subprocess start-up (fork + cold builds) is the expensive part and every
 stage builds on the previous one's state.
 """
 
+import http.client
 import json
 import os
 import re
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -20,6 +23,7 @@ import time
 import urllib.request
 
 import repro
+from repro.api.service import make_server
 
 #: src/ directory for subprocess PYTHONPATH (tests may run from anywhere).
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -108,26 +112,19 @@ def test_prefork_lifecycle(tmp_path):
 
         # --- /metrics aggregates every worker's series --------------------
         # Any worker answers for the whole front: each publishes its
-        # registry snapshot next to its stats record, and the scraped
-        # worker renders all of them under per-worker labels.  Counters
-        # are published just after the response bytes go out, so poll
-        # until the last barrage request's bump lands.
+        # registry snapshot next to its stats record before a response
+        # goes out, and the scraped worker renders all of them under
+        # per-worker labels.
         check_series = re.compile(
             r'repro_http_requests_total\{endpoint="/check",method="POST",'
             r'status="200",worker="(worker-\d+)"\} (\d+)')
         sent = len(responses)
-        deadline = time.time() + 30
-        while True:
-            request = urllib.request.Request(url + "/metrics")
-            with urllib.request.urlopen(request, timeout=30) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"].startswith("text/plain")
-                text = response.read().decode()
-            counted = {worker: int(count)
-                       for worker, count in check_series.findall(text)}
-            if sum(counted.values()) >= sent or time.time() > deadline:
-                break
-            time.sleep(0.2)
+        with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+            assert response.status == 200
+            assert response.headers["Content-Type"].startswith("text/plain")
+            text = response.read().decode()
+        counted = {worker: int(count)
+                   for worker, count in check_series.findall(text)}
         # Both forked workers publish: their labels appear even if the
         # barrage landed unevenly across the shared accept socket.
         worker_labels = set(re.findall(r'worker="(worker-\d+)"', text))
@@ -152,16 +149,94 @@ def test_prefork_lifecycle(tmp_path):
         status, body = _post(url + "/check", {"scenario": SCENARIOS[0]})
         assert status == 200 and body["ok"] is True
 
-        # --- SIGINT drains and exits cleanly ------------------------------
+        # --- SIGINT drains and exits cleanly, and promptly ----------------
+        # Each fresh connection wakes both workers and only one accepts it;
+        # a worker left parked in accept() would ignore the shutdown until
+        # the supervisor's SIGKILL, SHUTDOWN_GRACE_SECONDS (10 s) later.
+        for _ in range(50):
+            assert _get(url + "/health")[0] == 200
+        signalled = time.monotonic()
         process.send_signal(signal.SIGINT)
         stdout, stderr = process.communicate(timeout=60)
         assert process.returncode == 0
+        assert time.monotonic() - signalled < 5.0
         assert "shut down" in stdout
         assert "worker-0" in stderr and "restarting" in stderr
     finally:
         if process.poll() is None:
             process.kill()
             process.communicate(timeout=30)
+
+
+def test_worker_that_loses_the_accept_race_returns_to_its_loop():
+    # Two servers adopt one listening socket, as the forked workers do.
+    # After one accepts the only pending connection, the other's accept
+    # must come back empty instead of blocking where shutdown cannot reach.
+    listening = socket.create_server(("127.0.0.1", 0))
+    servers = [make_server(listening_socket=listening.dup()) for _ in range(2)]
+    client = socket.create_connection(listening.getsockname()[:2])
+    outcome = []
+
+    def accept_on_the_loser():
+        try:
+            servers[1].get_request()
+            outcome.append("accepted")
+        except OSError:
+            outcome.append("no request")
+
+    loser = threading.Thread(target=accept_on_the_loser, daemon=True)
+    try:
+        assert select.select([listening], [], [], 5)[0], "no pending connection"
+        request, _ = servers[0].get_request()
+        request.close()
+        loser.start()
+        loser.join(timeout=5)
+        assert outcome == ["no request"]
+    finally:
+        if loser.is_alive():  # parked in accept(): hand it a connection
+            socket.create_connection(listening.getsockname()[:2]).close()
+            loser.join(timeout=5)
+        client.close()
+        for server in servers:
+            server.server_close()
+        listening.close()
+
+
+def test_an_idle_worker_takes_the_next_connection():
+    # Two servers adopt one listening socket with the pre-fork accept
+    # backpressure: while one holds a keep-alive connection, the next goes
+    # to the idle one, so two keep-alive clients land on different workers.
+    listening = socket.create_server(("127.0.0.1", 0))
+    servers = [make_server(listening_socket=listening.dup(),
+                           worker_label=f"worker-{k}", max_inflight=2)
+               for k in (0, 1)]
+    threads = [threading.Thread(target=server.serve_forever,
+                                kwargs={"poll_interval": 0.05}, daemon=True)
+               for server in servers]
+    for thread in threads:
+        thread.start()
+    port = listening.getsockname()[1]
+    try:
+        for _ in range(10):  # which worker wakes first varies per round
+            connections = [http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+                           for _ in range(2)]
+            labels = []
+            for connection in connections:
+                connection.request("GET", "/health")
+                labels.append(json.loads(connection.getresponse().read())["worker"])
+            for connection in connections:
+                connection.close()
+            assert labels[0] != labels[1]
+            deadline = time.time() + 5  # both idle again before the next
+            while (any(server.active_connections for server in servers)
+                   and time.time() < deadline):
+                time.sleep(0.01)
+    finally:
+        for server, thread in zip(servers, threads):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        listening.close()
 
 
 def test_prefork_preload_gates_health_until_ready(tmp_path):
@@ -207,6 +282,7 @@ def test_prefork_preload_gates_health_until_ready(tmp_path):
             {"scenario": {"exchange": "floodset", "num_agents": 3,
                           "max_faulty": 1}})
         assert status == 200 and answer["ok"] is True
+        assert answer["cache"]["preloaded"] >= 2
         _, stats = _get(url + "/stats")
         assert stats["aggregate"]["preloaded"] >= 2
     finally:

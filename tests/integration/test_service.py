@@ -4,6 +4,7 @@ The server runs in-process on an ephemeral port; requests go through
 ``urllib`` exactly as the CI service-smoke job issues them.
 """
 
+import contextlib
 import json
 import socket
 import struct
@@ -28,6 +29,35 @@ def server_url():
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@contextlib.contextmanager
+def _in_process_workers(stats_dir, slow_publish=0.0):
+    """Two serving workers in this process sharing one stats directory;
+    worker-0 sleeps ``slow_publish`` seconds before each publish."""
+    import time
+
+    servers = [make_server(port=0, worker_label=f"worker-{k}",
+                           stats_dir=str(stats_dir)) for k in (0, 1)]
+    publish = servers[0].publish_stats
+
+    def delayed_publish():
+        time.sleep(slow_publish)
+        publish()
+
+    servers[0].publish_stats = delayed_publish
+    threads = [threading.Thread(target=server.serve_forever, daemon=True)
+               for server in servers]
+    for thread in threads:
+        thread.start()
+    try:
+        yield [f"http://127.0.0.1:{server.server_address[1]}"
+               for server in servers]
+    finally:
+        for server, thread in zip(servers, threads):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
 
 def _get(url):
@@ -116,28 +146,19 @@ class TestObservability:
         assert body["uptime_seconds"] >= 0
 
     def test_metrics_exposition_covers_http_and_session(self, server_url):
-        import time
-
         # Drive one request of each kind so every series has a sample.
         _post(server_url + "/check", {"scenario": SCENARIO})
         _get(server_url + "/stats")
-        # Counters are bumped *after* the response bytes go out, so an
-        # immediate scrape can race the handler's bookkeeping by a few
-        # microseconds: poll briefly, as a real scraper's interval would.
+        # A request is counted before its response goes out, so the first
+        # scrape already sees the /check above.
         wanted = 'repro_http_requests_total{endpoint="/check",method="POST",status="200"}'
-        deadline = time.time() + 5
-        while True:
-            with urllib.request.urlopen(server_url + "/metrics", timeout=30) as response:
-                assert response.status == 200
-                content_type = response.headers["Content-Type"]
-                text = response.read().decode()
-            if wanted in text or time.time() > deadline:
-                break
-            time.sleep(0.05)
+        with urllib.request.urlopen(server_url + "/metrics", timeout=30) as response:
+            assert response.status == 200
+            content_type = response.headers["Content-Type"]
+            assert wanted in response.read().decode()
         # A scrape only counts itself on the *next* scrape (the counter is
         # bumped after the exposition is rendered); fetch once more so the
         # /metrics endpoint's own series is visible too.
-        time.sleep(0.1)
         with urllib.request.urlopen(server_url + "/metrics", timeout=30) as response:
             text = response.read().decode()
         assert content_type.startswith("text/plain")
@@ -154,16 +175,9 @@ class TestObservability:
         assert "repro_session_cache_entries" in text
 
     def test_unknown_paths_fold_into_one_endpoint_label(self, server_url):
-        import time
-
         _post(server_url + "/minimise", {"scenario": SCENARIO})
-        deadline = time.time() + 5
-        while True:
-            with urllib.request.urlopen(server_url + "/metrics", timeout=30) as response:
-                text = response.read().decode()
-            if 'endpoint="other"' in text or time.time() > deadline:
-                break
-            time.sleep(0.05)
+        with urllib.request.urlopen(server_url + "/metrics", timeout=30) as response:
+            text = response.read().decode()
         assert 'endpoint="other"' in text
         assert "/minimise" not in text
 
@@ -185,6 +199,70 @@ class TestObservability:
         with urllib.request.urlopen(request, timeout=30) as response:
             echoed = response.headers["X-Repro-Trace-Id"]
         assert echoed and echoed != "not valid !!"
+
+    def test_in_process_workers_publish_only_their_own_requests(self, tmp_path):
+        # Two workers in one process share a stats directory; each counts
+        # in its own registry, so a worker's published request total is
+        # its own traffic, not the whole process's.
+        def published_requests(label):
+            record = json.loads((tmp_path / f"{label}.json").read_text())
+            return sum(series["value"] for series in
+                       record["metrics"]["repro_http_requests_total"]["series"])
+
+        with _in_process_workers(tmp_path) as urls:
+            for _ in range(5):
+                assert _get(urls[0] + "/health")[0] == 200
+            assert published_requests("worker-0") == 5
+            assert _get(urls[1] + "/health")[0] == 200
+            assert published_requests("worker-1") == 1
+
+    def test_a_response_is_published_before_it_is_sent(self, tmp_path):
+        # A client holding worker-0's response must find that request in
+        # worker-1's /stats and /metrics at once.  Slowing worker-0's
+        # publishing down makes the order observable: published after the
+        # response, its record would still be missing when worker-1 reads.
+        with _in_process_workers(tmp_path, slow_publish=0.5) as urls:
+            status, answer = _post(urls[0] + "/check", {"scenario": SCENARIO})
+            assert status == 200 and answer["cache"]["misses"] > 0
+            _, stats = _get(urls[1] + "/stats")
+            assert stats["workers"]["worker-0"]["cache"] == answer["cache"]
+            with urllib.request.urlopen(urls[1] + "/metrics", timeout=30) as response:
+                text = response.read().decode()
+            assert ('repro_http_requests_total{endpoint="/check",method="POST",'
+                    'status="200",worker="worker-0"} 1') in text
+
+    def test_concurrent_publishes_never_tear_the_worker_record(self, tmp_path):
+        # Handler threads responding together publish together; a reader
+        # (a sibling answering /stats or /metrics) must always find a whole
+        # record, or that worker drops out of the aggregate views.
+        import time
+
+        server = make_server(port=0, worker_label="worker-0",
+                             stats_dir=str(tmp_path))
+        stop = threading.Event()
+
+        def publisher():
+            while not stop.is_set():
+                server.publish_stats()
+
+        publishers = [threading.Thread(target=publisher) for _ in range(3)]
+        for thread in publishers:
+            thread.start()
+        unreadable = 0
+        try:
+            deadline = time.time() + 1.0
+            while time.time() < deadline:
+                try:
+                    json.loads((tmp_path / "worker-0.json").read_text())
+                except (OSError, ValueError):
+                    unreadable += 1
+        finally:
+            stop.set()
+            for thread in publishers:
+                thread.join(timeout=10)
+            server.server_close()
+        assert not any(thread.is_alive() for thread in publishers)
+        assert unreadable == 0
 
 
 class TestErrors:

@@ -67,6 +67,19 @@ class CountingSession(Session):
         return super()._invoke_build(key, build)
 
 
+class SingleLockSession(CountingSession):
+    """The pre-striping baseline: every build under one re-entrant lock
+    (a result build nests its model and space builds)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.single_lock = threading.RLock()
+
+    def _invoke_build(self, key, build):
+        with self.single_lock:
+            return super()._invoke_build(key, build)
+
+
 def _run_threads(workers, timeout=120):
     threads = [threading.Thread(target=worker) for worker in workers]
     for thread in threads:
@@ -172,13 +185,13 @@ class TestStripedBuilds:
         assert errors == []
 
     def test_single_lock_baseline_serialises_builds(self):
-        # The control experiment: with concurrent_builds=False the barrier
-        # can never clear, proving the striped mode above is what unblocked
-        # the concurrent builds.
+        # The control experiment: with every build under one lock the
+        # barrier can never clear, proving the striped mode above is what
+        # unblocked the concurrent builds.
         barrier = threading.Barrier(2, timeout=1.5)
         observed = []
 
-        class BarrierSession(CountingSession):
+        class BarrierSession(SingleLockSession):
             def _invoke_build(self, key, build):
                 if key[0] == "model":
                     try:
@@ -188,7 +201,7 @@ class TestStripedBuilds:
                         observed.append("serialised")
                 return super()._invoke_build(key, build)
 
-        session = BarrierSession(concurrent_builds=False)
+        session = BarrierSession()
         _run_threads([
             lambda: session.check(FLOODSET_2_1),
             lambda: session.check(EMIN_2_1),

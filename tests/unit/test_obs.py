@@ -62,14 +62,20 @@ def test_kind_mismatch_rejected():
         registry.gauge("x_total", "x")
 
 
-def test_reset_keeps_definitions_but_drops_series():
+def test_totals_sum_series_per_label_value_including_pending_events():
     registry = obs_metrics.MetricsRegistry()
-    counter = registry.counter("x_total", "x")
-    counter.inc(3)
-    registry.reset()
-    assert registry.snapshot()["x_total"]["series"] == []
-    counter.inc()  # the same metric object keeps working after reset
-    assert registry.snapshot()["x_total"]["series"][0]["value"] == 1
+    counter = registry.counter("lookups_total", "l")
+    counter.labels(kind="space", outcome="hit").inc()
+    counter.labels(kind="model", outcome="hit").inc(2)
+    counter.inc(kind="space", outcome="miss")
+    counter.inc()  # no labels: left out of every per-label total
+    assert counter.totals("outcome") == {"hit": 3, "miss": 1}
+    assert counter.totals("kind") == {"space": 2, "model": 2}
+    hist = registry.histogram("build_seconds", "b")
+    hist.labels(kind="space").observe(0.5)
+    hist.observe(0.25, kind="space")
+    hist.observe(2.0, kind="model")
+    assert hist.totals("kind") == {"space": 0.75, "model": 2.0}
 
 
 def test_render_exposition_adds_worker_label():
@@ -83,14 +89,6 @@ def test_render_exposition_adds_worker_label():
     assert 'r_total{endpoint="/check",worker="worker-1"} 2' in text
     # HELP/TYPE headers appear once per metric, not once per worker.
     assert text.count("# TYPE r_total counter") == 1
-
-
-def test_null_registry_is_inert():
-    counter = obs_metrics.NULL.counter("x_total", "x")
-    counter.inc(5, kind="anything")
-    obs_metrics.NULL.histogram("h", "h").observe(1.0)
-    assert obs_metrics.NULL.snapshot() == {}
-    assert obs_metrics.NULL.exposition() == ""
 
 
 def test_escaped_label_values():

@@ -163,6 +163,23 @@ class TestRunTableWithStore:
             result.outcomes
         )
 
+    @pytest.mark.parametrize("timeout", [60.0, None],
+                             ids=["forked", "in-process"])
+    def test_cells_journal_their_own_session_metrics(self, tmp_path, timeout):
+        # With a budget each cell forks; without one it runs in-process.
+        # Either way its journalled snapshot is its own task session's: one
+        # result-cache miss, not the process's running total.
+        spec = table1_spec(**self.SPEC_KWARGS)
+        store = ResultStore(tmp_path / "t1.jsonl")
+        run_table(spec, timeout=timeout, store=store, verbose=False)
+        lines = store.path.read_text().splitlines()
+        outcomes = [r for r in map(json.loads, lines) if r["kind"] == "outcome"]
+        assert outcomes
+        for record in outcomes:
+            lookups = record["metrics"]["repro_session_lookups_total"]
+            assert {"labels": {"kind": "result", "outcome": "miss"},
+                    "value": 1} in lookups["series"]
+
     def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         full_spec = table1_spec(**self.SPEC_KWARGS)
         # Simulate a sweep killed midway: only the first row completed.
