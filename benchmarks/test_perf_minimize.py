@@ -12,10 +12,11 @@ Results are recorded into ``BENCH_minimize.json`` at the repository root,
 following the ``BENCH_checker.json`` conventions: the file is only
 (re)written when missing or when ``REPRO_BENCH_RECORD`` is set.  The QM
 baseline for the worst single condition takes ~2 minutes, so it is only
-re-measured when ``REPRO_BENCH_QM`` is additionally set; otherwise the
-recorded measurement (taken on this machine against the seed algorithm,
-which this PR leaves available as ``method="qm"``) is carried forward and
-the espresso side is re-timed and re-asserted on every run.
+re-measured when ``REPRO_BENCH_QM`` is additionally set, by running the
+exact backend (:func:`repro.core.minimize.minimise`) on the condition's
+table with its implicit don't-cares; otherwise the recorded measurement is
+carried forward and the espresso side is re-timed and re-asserted on every
+run.  Both backends are called directly on each predicate's truth table.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import time
 from pathlib import Path
 
 from repro.core.cover import assignment_to_index, certify_cover
+from repro.core.espresso import espresso_minimise
+from repro.core.minimize import minimise
 from repro.core.synthesis import synthesize_eba
 from repro.api import Scenario, build_model
 
@@ -61,6 +64,15 @@ def _roadmap_predicate(conditions):
     return conditions.get(0, 1, "decide1")
 
 
+def _truth_table_sets(predicate):
+    """A predicate's variable names and its on-set and off-set minterms."""
+    names, table = predicate._boolean_table()
+    on_set, off_set = [], []
+    for assignment, value in table.items():
+        (on_set if value else off_set).append(assignment_to_index(assignment))
+    return names, on_set, off_set
+
+
 def _prior_qm_seconds() -> float:
     if BENCH_PATH.exists():
         try:
@@ -83,20 +95,22 @@ def test_roadmap_repro_condition_rendering():
     synthesis_seconds = time.perf_counter() - start
     conditions = result.conditions
 
+    predicates = list(conditions.conditions.values())
     espresso_seconds = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        rendering = conditions.describe(method="espresso")
+        covers = []
+        for predicate in predicates:
+            names, on_set, off_set = _truth_table_sets(predicate)
+            cover = espresso_minimise(len(names), on_set, off_set)
+            cover.render(names)
+            covers.append((on_set, off_set, cover))
         espresso_seconds = min(espresso_seconds, time.perf_counter() - start)
-    assert rendering.count("agent") == len(conditions.conditions)
+    assert len(covers) == len(conditions.conditions)
 
     # Every espresso cover must verify exactly against its specification
     # before any timing claim means anything.
-    for predicate in conditions.conditions.values():
-        _, cover = predicate.minimised_cover(method="espresso")
-        on_set, off_set = [], []
-        for assignment, value in predicate._boolean_table()[1].items():
-            (on_set if value else off_set).append(assignment_to_index(assignment))
+    for predicate, (on_set, off_set, cover) in zip(predicates, covers):
         certificate = certify_cover(cover, on_set, off_set)
         assert certificate.prime_and_irredundant, (
             predicate.agent,
@@ -104,14 +118,18 @@ def test_roadmap_repro_condition_rendering():
             certificate,
         )
 
-    roadmap = _roadmap_predicate(conditions)
+    names, on_set, off_set = _truth_table_sets(_roadmap_predicate(conditions))
     start = time.perf_counter()
-    roadmap.describe(method="espresso")
+    espresso_minimise(len(names), on_set, off_set)
     espresso_roadmap_seconds = time.perf_counter() - start
 
     if _MEASURE_QM:
+        specified = set(on_set) | set(off_set)
+        dont_cares = (
+            index for index in range(2 ** len(names)) if index not in specified
+        )
         start = time.perf_counter()
-        roadmap.describe(method="qm")
+        minimise(len(names), on_set, dont_cares)
         qm_roadmap_seconds = time.perf_counter() - start
     else:
         qm_roadmap_seconds = _prior_qm_seconds()

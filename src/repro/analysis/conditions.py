@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro.core.predicates import ConditionTable, HypothesisReport
 from repro.core.synthesis import SBASynthesisResult
 from repro.protocols.sba import floodset_critical_time
 
@@ -145,10 +144,3 @@ def check_diff_no_improvement(
             if diff_pred.holds(observation) != count_by_obs[projected]:
                 return False
     return True
-
-
-def confirm_hypothesis(
-    conditions: ConditionTable, value: int, hypothesis
-) -> HypothesisReport:
-    """Convenience wrapper around :meth:`ConditionTable.check_hypothesis`."""
-    return conditions.check_hypothesis(value, hypothesis)

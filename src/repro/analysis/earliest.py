@@ -3,7 +3,9 @@
 Consumes the observation-level predicates of an
 :class:`~repro.core.synthesis.SBASynthesisResult`; the underlying knowledge
 conditions are evaluated by synthesis as packed per-level bitmasks and
-projected onto observation groups before they reach this module.
+projected onto observation groups before they reach this module.  The
+renderings are the predicates' own ``describe()`` text, minimised by the
+backend the variable count picks.
 """
 
 from __future__ import annotations
@@ -30,23 +32,23 @@ class EarliestDecisionSummary:
 
 
 def earliest_condition_renderings(
-    result: SBASynthesisResult, agent: int = 0, method: str = "auto"
+    result: SBASynthesisResult, agent: int = 0
 ) -> Dict[Hashable, str]:
     """For each decision value, the minimised condition at its earliest time.
 
     Renders, per value, the synthesized condition of ``agent`` at the first
     time the condition holds at some reachable observation — the formula the
     paper would present for that decision opportunity.  Values whose
-    condition never holds within the horizon are omitted.  ``method`` picks
-    the minimisation backend (see
-    :func:`repro.core.minimize.truth_table_minimise`).
+    condition never holds within the horizon are omitted.  Each rendering
+    is :meth:`~repro.core.predicates.ObservationPredicate.describe`, so the
+    variable count alone picks the minimiser.
     """
     renderings: Dict[Hashable, str] = {}
     for value in result.model.values():
         for time in range(result.space.horizon + 1):
             predicate = result.conditions.get(agent, time, value)
             if predicate is not None and not predicate.always_false():
-                renderings[value] = predicate.describe(method=method)
+                renderings[value] = predicate.describe()
                 break
     return renderings
 

@@ -169,10 +169,6 @@ class WeightedLRU:
         self._entries.move_to_end(key)
         return value
 
-    def weight_of(self, key: object) -> int:
-        """The recorded weight of ``key``'s entry; ``KeyError`` if absent."""
-        return self._entries[key][1]
-
     def pop(self, key: object) -> object:
         """Remove and return ``key``'s value; ``KeyError`` if absent."""
         value, weight = self._entries.pop(key)

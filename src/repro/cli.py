@@ -211,7 +211,7 @@ def _synthesize_command(args: argparse.Namespace) -> int:
               f"{scenario.failures} failures, {scenario.engine} engine, "
               f"{result.iterations} iterations, "
               f"converged={result.converged}):")
-    print(result.conditions.describe(method=args.minimise))
+    print(result.conditions.describe())
     return 0
 
 
@@ -409,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--faulty", type=int, required=True)
     synth.add_argument("--values", type=int, default=2)
     _add_failures_argument(synth)
-    synth.add_argument(
-        "--minimise", choices=("auto", "qm", "espresso"), default="auto",
-        help="condition-minimisation backend: exact Quine-McCluskey, the "
-             "espresso-style heuristic, or auto (QM below the variable "
-             "threshold, espresso above; the default)",
-    )
     synth.set_defaults(func=_synthesize_command)
 
     check = subparsers.add_parser("check", help="model check one configuration")

@@ -21,10 +21,11 @@ knowledge-based-program synthesizer that play the role of MCK in the paper:
   representation and the certification helpers that check any returned cover
   against its on/off specification.
 * :mod:`repro.core.minimize` — exact Quine–McCluskey two-level minimisation
-  and the backend-switching ``truth_table_minimise`` front door.
-* :mod:`repro.core.espresso` — the espresso-style heuristic cube-list
-  minimiser (EXPAND / IRREDUNDANT / REDUCE on positional bit-pair cubes)
-  used for wide observation alphabets.
+  and the ``truth_table_minimise`` front door, which picks the backend by
+  variable count.
+* :mod:`repro.core.espresso` — the positional bit-pair cubes both
+  minimisers work on, and the espresso-style heuristic cube-list minimiser
+  (EXPAND / IRREDUNDANT / REDUCE) used for wide observation alphabets.
 """
 
 from repro.core.bitset import BitSat, from_level_sets, to_level_sets

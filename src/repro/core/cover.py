@@ -1,11 +1,12 @@
 """Sum-of-products covers of boolean functions, and their certification.
 
-This module holds the representation shared by the two minimisation backends
+This module holds the result type of the two minimisation backends
 (:mod:`repro.core.minimize` — exact Quine–McCluskey — and
 :mod:`repro.core.espresso` — the heuristic cube-list minimiser): a
 :class:`Cover` is a tuple of :data:`Implicant` terms over ``k`` named boolean
 variables, renderable as the DNF conditions that MCK substitutes for template
-variables.
+variables.  Both backends work on packed cubes and build this tuple form
+once, when they return.
 
 Because the heuristic backend only *approximates* minimality, every cover it
 returns can be **certified** against the specification it was minimised from:
@@ -97,14 +98,6 @@ def implicant_covers_index(implicant: Implicant, index: int, num_variables: int)
         if bool((index >> (num_variables - 1 - position)) & 1) != polarity:
             return False
     return True
-
-
-def minterm_to_implicant(minterm: int, num_variables: int) -> Implicant:
-    """The fully specified implicant of a single minterm index."""
-    return tuple(
-        bool((minterm >> (num_variables - 1 - position)) & 1)
-        for position in range(num_variables)
-    )
 
 
 def assignment_to_index(assignment: Sequence[bool]) -> int:

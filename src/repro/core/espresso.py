@@ -1,7 +1,8 @@
 """Espresso-style heuristic two-level minimisation on packed cube lists.
 
-The exact Quine–McCluskey backend (:mod:`repro.core.minimize`) enumerates the
-prime implicants of the function *including its don't-care set*.  The
+This module also owns the packed :data:`Cube` form that both minimisers work
+on.  The exact Quine–McCluskey backend (:mod:`repro.core.minimize`) enumerates
+the prime implicants of the function *including its don't-care set*.  The
 synthesized decision conditions make that explosive: the specification is a
 truth table over the handful of *reachable* observations, so over ``k``
 feature variables all but a few of the ``2**k`` points are don't-cares and QM
@@ -29,7 +30,9 @@ idioms of :mod:`repro.core.bitset`: variable ``j`` owns bits ``2j`` ("admits
 False") and ``2j+1`` ("admits True"), so a cube over ``k`` variables is one
 ``2k``-bit Python int.  Intersection is ``&``, containment is a subset test
 (``a | b == b``), the supercube is ``|``, and a cube covers a minterm iff the
-minterm's cube is a bit-subset of it.
+minterm's cube is a bit-subset of it.  :func:`cube_order_key` is the one
+order both backends sort their returned cubes by, and the tuple-form
+:class:`~repro.core.cover.Cover` is built from the cubes only at return.
 
 The module also provides the independent :func:`tautology` oracle (unate
 recursion with binate branching) used to certify tautology claims — e.g.
@@ -101,6 +104,15 @@ def cube_to_implicant(cube: Cube, num_variables: int) -> Implicant:
         else:
             raise ValueError(f"empty cube at variable {position}")
     return tuple(literals)
+
+
+def cube_order_key(cube: Cube, num_variables: int) -> Tuple[int, ...]:
+    """Sort key listing each variable's bit pair, variable 0 first.
+
+    Pairs 1, 2 and 3 stand for False, True and free, so this orders cubes as
+    their implicants sort with False < True < None at each variable.
+    """
+    return tuple((cube >> (2 * position)) & 3 for position in range(num_variables))
 
 
 def cube_contains(outer: Cube, inner: Cube) -> bool:
@@ -365,13 +377,11 @@ def espresso_minimise(
         else:
             break
 
-    implicants = sorted(
-        (cube_to_implicant(cube, num_variables) for cube in best),
-        key=lambda implicant: tuple(
-            2 if value is None else int(value) for value in implicant
-        ),
+    implicants = tuple(
+        cube_to_implicant(cube, num_variables)
+        for cube in sorted(best, key=lambda cube: cube_order_key(cube, num_variables))
     )
-    return Cover(num_variables=num_variables, implicants=tuple(implicants))
+    return Cover(num_variables=num_variables, implicants=implicants)
 
 
 # ---------------------------------------------------------------------------

@@ -5,109 +5,89 @@ present them the way MCK presents its synthesized ``define`` statements (and
 the way the paper states conditions (2) and (3)), we minimise the
 characteristic function of the condition over the observation features.
 
-Two backends share the :class:`~repro.core.cover.Cover` result type:
+Both backends work on the packed :data:`~repro.core.espresso.Cube` form (two
+bits per variable) and build the tuple-form :class:`~repro.core.cover.Cover`
+once, when they return:
 
 * :func:`minimise` — the classic **Quine–McCluskey** procedure with a greedy
   prime-implicant cover (essential primes first, then largest coverage).  It
   is exact in the sense that the returned implicants cover exactly the
   on-set and never a point of the off-set; the cover is not guaranteed to be
   of globally minimal size, which is acceptable for presentation purposes.
-  Its cost grows with the *number of specified-or-don't-care minterms*, so
-  it degrades exponentially when a sparse truth table over many variables
-  turns the complement into don't-cares.
+  Each merge is found by neighbour lookup: a cube that binds a variable to
+  False has exactly one partner, the same cube with that variable True.  Its
+  cost grows with the *number of specified-or-don't-care minterms*, so it
+  degrades exponentially when a sparse truth table over many variables turns
+  the complement into don't-cares.
 * :func:`~repro.core.espresso.espresso_minimise` — the heuristic cube-list
   minimiser (EXPAND / IRREDUNDANT / REDUCE), whose cost scales with the
   number of *specified* rows only.  Covers are prime and irredundant but may
   be slightly larger than the exact optimum.
 
 :func:`truth_table_minimise` is the front door used by
-:mod:`repro.core.predicates`: it picks the backend by variable count
-(:data:`ESPRESSO_VARIABLE_THRESHOLD`, override with ``method=``) and
-represents the don't-care set implicitly — as the complement of the
-specified assignments — so no caller ever materialises ``2**k`` points.
+:mod:`repro.core.predicates`: the variable count alone picks the backend
+(:data:`ESPRESSO_VARIABLE_THRESHOLD`), and the don't-care set is represented
+implicitly — as the complement of the specified assignments — so no caller
+ever materialises ``2**k`` points.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.core.cover import (
-    Cover,
-    Implicant,
-    assignment_to_index,
-    implicant_covers_index,
-    minterm_to_implicant,
+from repro.core.cover import Cover, Implicant, assignment_to_index
+from repro.core.espresso import (
+    Cube,
+    cube_free_count,
+    cube_order_key,
+    cube_to_implicant,
+    espresso_minimise,
+    minterm_cube,
 )
-from repro.core.espresso import espresso_minimise
 
 __all__ = [
     "Cover",
     "Implicant",
     "ESPRESSO_VARIABLE_THRESHOLD",
-    "MINIMISE_METHODS",
     "minimise",
     "prime_implicants",
     "truth_table_minimise",
 ]
 
-#: Valid ``method=`` values accepted by :func:`truth_table_minimise` and the
-#: describe/render entry points that forward to it.
-MINIMISE_METHODS = ("auto", "qm", "espresso")
-
 #: Above this many variables :func:`truth_table_minimise` switches from the
-#: exact Quine–McCluskey backend to the espresso-style heuristic when the
-#: backend is not forced with ``method=``.  At eight variables the implicit
-#: don't-care complement is at most 256 minterms, which QM handles in
-#: milliseconds; beyond that its prime enumeration blows up (the ROADMAP
-#: repro: ~2 minutes for a 10-variable condition with 7 specified rows).
+#: exact Quine–McCluskey backend to the espresso-style heuristic.  At eight
+#: variables the implicit don't-care complement is at most 256 minterms,
+#: which QM handles in milliseconds; beyond that its prime enumeration blows
+#: up (the ROADMAP repro: ~2 minutes for a 10-variable condition with 7
+#: specified rows).
 ESPRESSO_VARIABLE_THRESHOLD = 8
-
-
-def _combine(left: Implicant, right: Implicant) -> Implicant | None:
-    """Combine two implicants differing in exactly one specified position."""
-    difference = -1
-    for position, (a, b) in enumerate(zip(left, right)):
-        if a == b:
-            continue
-        if a is None or b is None:
-            return None
-        if difference >= 0:
-            return None
-        difference = position
-    if difference < 0:
-        return None
-    merged = list(left)
-    merged[difference] = None
-    return tuple(merged)
 
 
 def prime_implicants(
     num_variables: int, minterms: Iterable[int], dont_cares: Iterable[int] = ()
-) -> Set[Implicant]:
+) -> Set[Cube]:
     """All prime implicants of the function given by its on-set and DC-set."""
-    current: Set[Implicant] = {
-        minterm_to_implicant(term, num_variables)
-        for term in set(minterms) | set(dont_cares)
+    current: Set[Cube] = {
+        minterm_cube(term, num_variables) for term in set(minterms) | set(dont_cares)
     }
-    primes: Set[Implicant] = set()
+    primes: Set[Cube] = set()
     while current:
-        combined_sources: Set[Implicant] = set()
-        next_level: Set[Implicant] = set()
-        items = sorted(current, key=_implicant_sort_key)
-        for index, left in enumerate(items):
-            for right in items[index + 1 :]:
-                merged = _combine(left, right)
-                if merged is not None:
-                    next_level.add(merged)
-                    combined_sources.add(left)
-                    combined_sources.add(right)
-        primes.update(current - combined_sources)
+        merged: Set[Cube] = set()
+        next_level: Set[Cube] = set()
+        for cube in sorted(current):
+            for position in range(num_variables):
+                shift = 2 * position
+                if (cube >> shift) & 3 != 1:
+                    continue
+                # The partner binds this variable to True instead of False.
+                partner = cube ^ (3 << shift)
+                if partner in current:
+                    next_level.add(cube | (3 << shift))
+                    merged.add(cube)
+                    merged.add(partner)
+        primes.update(current - merged)
         current = next_level
     return primes
-
-
-def _implicant_sort_key(implicant: Implicant) -> Tuple:
-    return tuple(2 if value is None else int(value) for value in implicant)
 
 
 def minimise(
@@ -130,23 +110,25 @@ def minimise(
         return Cover(num_variables=0, implicants=((),))
 
     primes = prime_implicants(num_variables, on_set, dc_set)
+    on_cubes = [minterm_cube(term, num_variables) for term in on_set]
+
+    def order(cube: Cube) -> Tuple[int, ...]:
+        return cube_order_key(cube, num_variables)
 
     # Coverage bookkeeping on packed bitmasks: bit p of a coverage mask stands
     # for on-set minterm on_set[p], so subset/overlap tests on the greedy
-    # cover are single integer operations.  The primes are iterated in sorted
-    # order because greedy ties below break by iteration position: implicants
-    # contain ``None``, whose hash is id-based before Python 3.12, so raw set
-    # order — and hence the chosen cover — would vary from process to process.
-    coverage: Dict[Implicant, int] = {}
-    for prime in sorted(primes, key=_implicant_sort_key):
+    # cover are single integer operations.  Greedy ties below break by
+    # iteration position, so the primes are walked in a fixed order.
+    coverage: Dict[Cube, int] = {}
+    for prime in sorted(primes, key=order):
         covered = 0
-        for position, term in enumerate(on_set):
-            if implicant_covers_index(prime, term, num_variables):
+        for position, on in enumerate(on_cubes):
+            if on | prime == prime:
                 covered |= 1 << position
         if covered:
             coverage[prime] = covered
 
-    chosen: List[Implicant] = []
+    chosen: List[Cube] = []
     uncovered = (1 << len(on_set)) - 1
 
     # Essential prime implicants first.
@@ -161,7 +143,10 @@ def minimise(
     while uncovered:
         best = max(
             coverage.items(),
-            key=lambda item: ((item[1] & uncovered).bit_count(), -_specificity(item[0])),
+            key=lambda item: (
+                (item[1] & uncovered).bit_count(),
+                cube_free_count(item[0], num_variables),
+            ),
         )[0]
         if not coverage[best] & uncovered:
             # No progress is possible; should not happen, but guard anyway.
@@ -169,36 +154,26 @@ def minimise(
         chosen.append(best)
         uncovered &= ~coverage[best]
 
-    ordered = tuple(sorted(set(chosen), key=_implicant_sort_key))
-    return Cover(num_variables=num_variables, implicants=ordered)
+    implicants = tuple(
+        cube_to_implicant(cube, num_variables) for cube in sorted(set(chosen), key=order)
+    )
+    return Cover(num_variables=num_variables, implicants=implicants)
 
 
-def _specificity(implicant: Implicant) -> int:
-    return sum(1 for value in implicant if value is not None)
-
-
-def truth_table_minimise(
-    assignments: Dict[Tuple[bool, ...], bool],
-    reachable_only: bool = True,
-    method: str = "auto",
-) -> Cover:
+def truth_table_minimise(assignments: Dict[Tuple[bool, ...], bool]) -> Cover:
     """Minimise a function given as a mapping from assignments to values.
 
-    Assignments missing from the mapping are treated as don't-cares when
-    ``reachable_only`` is true (the usual case: unreachable observations may
-    be classified arbitrarily), and as off-set points otherwise.  The
-    don't-care set is only ever represented implicitly, as the complement of
-    the specified assignments — it is never materialised as a
-    ``2**num_variables`` collection.
+    Assignments missing from the mapping are don't-cares (unreachable
+    observations may be classified arbitrarily).  The don't-care set is only
+    ever represented implicitly, as the complement of the specified
+    assignments — it is never materialised as a ``2**num_variables``
+    collection.
 
-    ``method`` selects the backend: ``"qm"`` (exact Quine–McCluskey),
-    ``"espresso"`` (heuristic, prime and irredundant but possibly
-    non-minimal), or ``"auto"`` (the default): QM up to
-    :data:`ESPRESSO_VARIABLE_THRESHOLD` variables, espresso above, where QM's
-    implicit-complement expansion becomes intractable.
+    Up to :data:`ESPRESSO_VARIABLE_THRESHOLD` variables the exact
+    Quine–McCluskey backend runs; above it, where QM's implicit-complement
+    expansion becomes intractable, the espresso heuristic (prime and
+    irredundant, but possibly non-minimal) does.
     """
-    if method not in MINIMISE_METHODS:
-        raise ValueError(f"unknown minimisation method {method!r}")
     if not assignments:
         return Cover(num_variables=0, implicants=())
     num_variables = len(next(iter(assignments)))
@@ -207,20 +182,11 @@ def truth_table_minimise(
     for assignment, value in assignments.items():
         (on_set if value else off_set).append(assignment_to_index(assignment))
 
-    if method == "auto":
-        method = "espresso" if num_variables > ESPRESSO_VARIABLE_THRESHOLD else "qm"
+    if num_variables > ESPRESSO_VARIABLE_THRESHOLD:
+        return espresso_minimise(num_variables, on_set, off_set)
 
-    if method == "espresso":
-        return espresso_minimise(
-            num_variables, on_set, off_set if reachable_only else None
-        )
-
-    dont_cares: Iterable[int] = ()
-    if reachable_only:
-        # Lazy complement of the specified assignments; only the exact
-        # backend expands it, and auto only routes small tables here.
-        specified = set(on_set) | set(off_set)
-        dont_cares = (
-            index for index in range(2**num_variables) if index not in specified
-        )
+    # Lazy complement of the specified assignments; only small tables get
+    # here, so expanding it is cheap.
+    specified = set(on_set) | set(off_set)
+    dont_cares = (index for index in range(2**num_variables) if index not in specified)
     return minimise(num_variables, on_set, dont_cares)

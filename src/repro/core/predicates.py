@@ -10,7 +10,8 @@ knowledge condition holds.  This module wraps those sets as
   (2) and (3) — see :meth:`ConditionTable.check_hypothesis`,
 * rendered as simplified boolean conditions over the exchange's named
   observable features (the analogue of MCK's synthesized ``define``
-  statements).
+  statements), minimised by :func:`repro.core.minimize.truth_table_minimise`,
+  which picks its backend from the feature-variable count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.minimize import MINIMISE_METHODS, Cover, truth_table_minimise
+from repro.core.minimize import Cover, truth_table_minimise
 
 #: A hypothesis maps (agent, time, features) to the predicted truth value.
 Hypothesis = Callable[[int, int, Mapping[str, Hashable]], bool]
@@ -50,34 +51,25 @@ class ObservationPredicate:
         """True when the condition holds at every reachable observation."""
         return self.positive == self.reachable
 
-    def describe(self, method: str = "auto") -> str:
+    def describe(self) -> str:
         """Render the condition as a simplified boolean formula.
 
         Non-boolean features (such as ``count``) are expanded into equality
         literals ``feature=value`` per value occurring among the reachable
         observations; boolean features are used directly.  The result is the
         analogue of the predicates MCK substitutes for template variables.
-
-        ``method`` selects the minimisation backend (``"auto"``, ``"qm"`` or
-        ``"espresso"``, see :func:`repro.core.minimize.truth_table_minimise`);
-        the default picks by feature-variable count, so wide observation
-        alphabets render in milliseconds instead of minutes.
         """
-        if method not in MINIMISE_METHODS:
-            # Validate before the constant shortcuts so a typo'd method fails
-            # on every predicate, not just the non-constant ones.
-            raise ValueError(f"unknown minimisation method {method!r}")
         if self.always_false():
             return "False"
         if self.always_true():
             return "True"
-        names, cover = self.minimised_cover(method=method)
+        names, cover = self.minimised_cover()
         return cover.render(names)
 
-    def minimised_cover(self, method: str = "auto") -> Tuple[List[str], Cover]:
+    def minimised_cover(self) -> Tuple[List[str], Cover]:
         """The variable names and minimised cover used by :meth:`describe`."""
         names, table = self._boolean_table()
-        return names, truth_table_minimise(table, method=method)
+        return names, truth_table_minimise(table)
 
     def _boolean_table(self) -> Tuple[List[str], Dict[Tuple[bool, ...], bool]]:
         # The observation table is sorted before minimisation: ``reachable``
@@ -176,18 +168,14 @@ class ConditionTable:
                     mismatches.append((agent, time, observation, actual, predicted))
         return HypothesisReport(label=label, checked=checked, mismatches=mismatches)
 
-    def describe(self, method: str = "auto") -> str:
-        """Human-readable rendering of every synthesized condition.
-
-        ``method`` is forwarded to each predicate's
-        :meth:`ObservationPredicate.describe`.
-        """
+    def describe(self) -> str:
+        """Human-readable rendering of every synthesized condition."""
         lines: List[str] = []
         for (agent, time, label), predicate in sorted(
             self.conditions.items(), key=lambda item: (item[0][1], item[0][0], repr(item[0][2]))
         ):
             lines.append(
-                f"agent {agent}, time {time}, {label}: {predicate.describe(method=method)}"
+                f"agent {agent}, time {time}, {label}: {predicate.describe()}"
             )
         return "\n".join(lines)
 

@@ -25,7 +25,7 @@ Two programs from the paper are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bitset import blocks_within
 from repro.core.checker import ModelChecker
@@ -79,14 +79,6 @@ class SBASynthesisResult:
     space: LevelledSpace
     conditions: ConditionTable
     rule: SynthesizedRule
-
-    def earliest_decision_times(self) -> Dict[int, Set[int]]:
-        """For each time, the agents that decide at that time in some state."""
-        earliest: Dict[int, Set[int]] = {}
-        for (agent, time), actions in self.rule.table.items():
-            if any(action is not NOOP for action in actions.values()):
-                earliest.setdefault(time, set()).add(agent)
-        return earliest
 
 
 def _level_knowledge_conditions(

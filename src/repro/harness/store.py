@@ -243,10 +243,6 @@ class ResultStore:
         self._append(record)
         self._spec_record = record
 
-    @property
-    def has_spec(self) -> bool:
-        return self._spec_record is not None
-
     def load_result(self):
         """Rebuild a renderable table result from the journal alone.
 

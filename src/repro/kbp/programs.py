@@ -29,10 +29,6 @@ class GuardedCommand:
     action: Callable[[int], Optional[Action]]
     description: str
 
-    def guard_for(self, agent: int) -> Formula:
-        """The knowledge guard instantiated for a particular agent."""
-        return self.guard(agent)
-
 
 @dataclass(frozen=True)
 class KnowledgeBasedProgram:

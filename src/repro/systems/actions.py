@@ -34,13 +34,3 @@ def decide(value: int) -> int:
 def is_decide(action: Action) -> bool:
     """True when ``action`` is a decision (as opposed to ``noop``)."""
     return action is not None
-
-
-def decided_value(action: Action) -> int:
-    """Return the value decided by ``action``.
-
-    Raises ``ValueError`` when the action is ``noop``.
-    """
-    if action is None:
-        raise ValueError("noop carries no decision value")
-    return action

@@ -80,10 +80,6 @@ class LevelledSpace:
         """The index of the most recently built level."""
         return len(self.levels) - 1
 
-    def is_complete(self) -> bool:
-        """True when every level up to the horizon has been built."""
-        return self.last_level() >= self.horizon
-
     def set_actions(self, level: int, joint_actions: List[JointAction]) -> None:
         """Record the joint action chosen at each state of ``level``."""
         if level != len(self.actions):
@@ -152,11 +148,6 @@ class LevelledSpace:
         for time, level in enumerate(self.levels):
             for index in range(len(level)):
                 yield (time, index)
-
-    def points_at(self, time: int) -> Iterator[Point]:
-        """Iterate over the points at a given time level."""
-        for index in range(len(self.levels[time])):
-            yield (time, index)
 
     def state_at(self, point: Point) -> GlobalState:
         """The global state at a point."""
@@ -391,19 +382,6 @@ class LevelledSpace:
             if self.eval_atom((time, index), key):
                 bits |= 1 << index
         return bits
-
-    def invalidate_caches(self) -> None:
-        """Drop cached observation groups and bitmasks (after mutating states)."""
-        for name in (
-            "_group_cache",
-            "_level_mask_cache",
-            "_obs_mask_cache",
-            "_nonfaulty_mask_cache",
-            "_pred_mask_cache",
-            "_atom_mask_cache",
-        ):
-            if hasattr(self, name):
-                object.__setattr__(self, name, {})
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Each cell is one harness task on a small instance of the paper's tables
 (Table 1: floodset/count; Table 2: diff/dwork-moses with explicit rounds;
 Table 3: emin/ebasic under crash and sending omissions).  ``MATRIX`` covers
 every task up to n=4; ``GRID_CELLS`` adds every n=2 cell of the Table 1–3
-grids and the smallest rows of the two ablation grids, taken from the
-harness's own table specs.  The golden file holds each cell's full
-``to_dict()`` payload and, for synthesis cells, the rendered
-``ConditionTable.describe()`` text.  ``test_golden_cells.py`` recomputes
-every cell and compares it with the file exactly.
+grids, the smallest rows of the two ablation grids and then every n=3 cell
+of the Table 1–3 grids, taken from the harness's own table specs.  The n=3
+cells come last so the earlier records keep their place in the file.  The
+golden file holds each cell's full ``to_dict()`` payload and, for synthesis
+cells, the rendered ``ConditionTable.describe()`` text.
+``test_golden_cells.py`` recomputes every cell and compares it with the file
+exactly.
 
 This script is the only writer of the file::
 
@@ -63,7 +65,7 @@ MATRIX = [
 
 
 def _grid_cells() -> list:
-    """The smallest rows of the paper's grids, minus cells already listed."""
+    """The small rows of the paper's grids, minus cells already listed."""
     cells: list = []
     for spec in (
         table1_spec(max_n=2),
@@ -71,6 +73,9 @@ def _grid_cells() -> list:
         table3_spec(max_n=2),
         ablation_temporal_only(max_n=3),
         ablation_failure_models(max_n=2),
+        table1_spec(max_n=3),
+        table2_spec(max_n=3),
+        table3_spec(max_n=3),
     ):
         for _, row in spec.rows:
             for _, task, params in row:

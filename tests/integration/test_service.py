@@ -245,6 +245,9 @@ class TestObservability:
             while not stop.is_set():
                 server.publish_stats()
 
+        # The first record must exist before reads count: a read that finds
+        # no file yet is not a torn record.
+        server.publish_stats()
         publishers = [threading.Thread(target=publisher) for _ in range(3)]
         for thread in publishers:
             thread.start()

@@ -96,18 +96,15 @@ def test_random_partial_tables_with_dont_cares(num_variables):
         on_set = [row for row, value in values.items() if value]
         off_set = [row for row, value in values.items() if not value]
 
-        table = {
-            _index_to_assignment(row, num_variables): value
-            for row, value in values.items()
-        }
-        es = truth_table_minimise(table, method="espresso")
+        es = espresso_minimise(num_variables, on_set, off_set)
         for row, value in values.items():
             assert es.evaluate_index(row) == value, (num_variables, row, values)
         certificate = certify_cover(es, on_set, off_set)
         assert certificate.prime_and_irredundant, (num_variables, certificate)
 
         if num_variables <= 8:
-            qm = truth_table_minimise(table, method="qm")
+            dont_cares = (index for index in range(universe) if index not in values)
+            qm = minimise(num_variables, on_set, dont_cares)
             for row, value in values.items():
                 assert qm.evaluate_index(row) == value, (num_variables, row, values)
 
@@ -123,8 +120,10 @@ def test_auto_backend_matches_forced_backends_on_specified_rows():
             _index_to_assignment(row, num_variables): value
             for row, value in values.items()
         }
+        on_set = [row for row, value in values.items() if value]
+        off_set = [row for row, value in values.items() if not value]
         auto = truth_table_minimise(table)
-        es = truth_table_minimise(table, method="espresso")
+        es = espresso_minimise(num_variables, on_set, off_set)
         for row, value in values.items():
             assert auto.evaluate_index(row) == value
             assert es.evaluate_index(row) == value

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.api import Scenario, Session
 from repro.cli import build_parser, main
+from repro.core.cover import assignment_to_index
+from repro.core.espresso import espresso_minimise
+from repro.core.minimize import minimise
 
 
 class TestParser:
@@ -20,20 +24,6 @@ class TestParser:
         )
         assert args.exchange == "floodset"
         assert args.agents == 3
-        assert args.minimise == "auto"
-
-    def test_synthesize_minimise_backend_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["synthesize", "--exchange", "floodset", "--agents", "3",
-             "--faulty", "1", "--minimise", "espresso"]
-        )
-        assert args.minimise == "espresso"
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["synthesize", "--exchange", "floodset", "--agents", "3",
-                 "--faulty", "1", "--minimise", "bogus"]
-            )
 
     def test_missing_command_errors(self):
         parser = build_parser()
@@ -96,6 +86,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--store-pickle" in capsys.readouterr().err
 
+    def test_minimise_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synthesize", "--exchange", "floodset", "--agents", "3",
+                  "--faulty", "1", "--minimise", "qm"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --minimise" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_synthesize_sba_prints_conditions(self, capsys):
@@ -124,18 +121,23 @@ class TestCommands:
         assert code == 0
         assert "decide0" in captured.out or "decide" in captured.out
 
-    def test_synthesize_forced_backends_agree(self, capsys):
-        # The same configuration rendered with both backends: covers may
-        # differ, but the reported condition structure must stay recognisable
-        # and the exact backend's known rendering must be unchanged.
-        argv = ["synthesize", "--exchange", "floodset", "--agents", "3",
-                "--faulty", "1"]
-        assert main(argv + ["--minimise", "qm"]) == 0
-        qm_out = capsys.readouterr().out
-        assert main(argv + ["--minimise", "espresso"]) == 0
-        espresso_out = capsys.readouterr().out
-        assert "values_received[0]" in qm_out
-        assert "values_received[0]" in espresso_out
+    def test_synthesize_forced_backends_agree(self):
+        # The configuration the command prints, with each backend run on the
+        # same truth tables: covers may differ, but the reported condition
+        # structure must stay recognisable.
+        scenario = Scenario(exchange="floodset", num_agents=3, max_faulty=1)
+        conditions = Session().synthesis_artifact(scenario).conditions
+        qm_out, espresso_out = [], []
+        for predicate in conditions.conditions.values():
+            names, table = predicate._boolean_table()
+            on_set = [assignment_to_index(row) for row, value in table.items() if value]
+            off_set = [assignment_to_index(row) for row, value in table.items() if not value]
+            specified = set(on_set) | set(off_set)
+            dont_cares = [index for index in range(2 ** len(names)) if index not in specified]
+            qm_out.append(minimise(len(names), on_set, dont_cares).render(names))
+            espresso_out.append(espresso_minimise(len(names), on_set, off_set).render(names))
+        assert "values_received[0]" in "\n".join(qm_out)
+        assert "values_received[0]" in "\n".join(espresso_out)
 
     def test_synthesize_unknown_exchange_fails(self, capsys):
         code = main(

@@ -2,9 +2,8 @@
 
 from itertools import product
 
-import pytest
-
 import repro.core.minimize as minimize_module
+from repro.core.espresso import cube_to_implicant, espresso_minimise, minterm_cube
 from repro.core.minimize import (
     ESPRESSO_VARIABLE_THRESHOLD,
     Cover,
@@ -69,7 +68,7 @@ def test_minimise_single_variable_projection():
 
 def test_prime_implicants_of_adjacent_minterms_merge():
     primes = prime_implicants(3, [0, 1])
-    assert (False, False, None) in primes
+    assert {cube_to_implicant(cube, 3) for cube in primes} == {(False, False, None)}
 
 
 def test_truth_table_minimise_uses_unspecified_rows_as_dont_cares():
@@ -83,17 +82,6 @@ def test_truth_table_minimise_uses_unspecified_rows_as_dont_cares():
     cover = truth_table_minimise(table)
     names = ["a", "b"]
     assert cover.render(names) == "a"
-
-
-def test_truth_table_minimise_respects_reachable_only_flag():
-    table = {
-        (True, True): True,
-        (True, False): True,
-        (False, False): False,
-    }
-    cover = truth_table_minimise(table, reachable_only=False)
-    # Without don't-cares the cover must not include the unreachable (F, T) row.
-    assert not cover.evaluate([False, True])
 
 
 def test_render_uses_negative_literals():
@@ -156,7 +144,7 @@ def test_greedy_cover_no_progress_guard_terminates(monkeypatch):
     """
 
     def broken_primes(num_variables, minterms, dont_cares=()):
-        return {(True, True)}  # covers minterm 3 only, never 0
+        return {minterm_cube(3, num_variables)}  # covers minterm 3 only, never 0
 
     monkeypatch.setattr(minimize_module, "prime_implicants", broken_primes)
     cover = minimize_module.minimise(2, [0, 3])
@@ -179,16 +167,18 @@ def _sparse_table(num_variables):
     return {assignment(0): False, assignment(1): True, assignment(3): True}
 
 
-def test_truth_table_minimise_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        truth_table_minimise(_sparse_table(2), method="exactly")
+def _sparse_sets(num_variables):
+    """On, off and don't-care minterms of ``_sparse_table(num_variables)``."""
+    on_set, off_set = [1, 3], [0]
+    dont_cares = [index for index in range(2**num_variables) if index not in (0, 1, 3)]
+    return on_set, off_set, dont_cares
 
 
 def test_explicit_methods_agree_on_specified_rows():
-    table = _sparse_table(4)
-    qm = truth_table_minimise(table, method="qm")
-    es = truth_table_minimise(table, method="espresso")
-    for assignment, value in table.items():
+    on_set, off_set, dont_cares = _sparse_sets(4)
+    qm = minimise(4, on_set, dont_cares)
+    es = espresso_minimise(4, on_set, off_set)
+    for assignment, value in _sparse_table(4).items():
         assert qm.evaluate(assignment) == value
         assert es.evaluate(assignment) == value
 
@@ -213,7 +203,7 @@ def test_auto_switches_to_espresso_above_threshold():
 
 
 def test_auto_uses_exact_backend_below_threshold():
-    table = _sparse_table(3)
-    auto = truth_table_minimise(table)
-    qm = truth_table_minimise(table, method="qm")
+    on_set, _, dont_cares = _sparse_sets(3)
+    auto = truth_table_minimise(_sparse_table(3))
+    qm = minimise(3, on_set, dont_cares)
     assert auto == qm

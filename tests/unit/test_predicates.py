@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.cover import assignment_to_index
+from repro.core.espresso import espresso_minimise
+from repro.core.minimize import minimise
 from repro.core.predicates import (
     ConditionTable,
     ObservationPredicate,
@@ -65,10 +68,19 @@ class TestObservationPredicate:
             _predicate({(True,)}, {(False,)}, {(False,): {"seen": False}})
 
     def test_describe_backends_agree_semantically(self, count_predicate):
-        # Forced backends may pick different covers but must classify every
-        # reachable observation identically.
-        for method in ("auto", "qm", "espresso"):
-            names, cover = count_predicate.minimised_cover(method=method)
+        # Both backends, run on the predicate's own truth table, may pick
+        # different covers but must classify every reachable observation
+        # identically.
+        names, table = count_predicate._boolean_table()
+        on_set = [assignment_to_index(row) for row, value in table.items() if value]
+        off_set = [assignment_to_index(row) for row, value in table.items() if not value]
+        specified = set(on_set) | set(off_set)
+        dont_cares = [index for index in range(2 ** len(names)) if index not in specified]
+        for cover in (
+            count_predicate.minimised_cover()[1],
+            minimise(len(names), on_set, dont_cares),
+            espresso_minimise(len(names), on_set, off_set),
+        ):
             for observation in count_predicate.reachable:
                 features = count_predicate.features_of[observation]
                 assignment = []
@@ -80,23 +92,7 @@ class TestObservationPredicate:
                         assignment.append(bool(features[name]))
                 assert cover.evaluate(assignment) == count_predicate.holds(
                     observation
-                ), method
-
-    def test_describe_rejects_unknown_method(self, count_predicate):
-        with pytest.raises(ValueError):
-            count_predicate.describe(method="bogus")
-
-    def test_describe_rejects_unknown_method_on_constant_predicates(self):
-        # Constant predicates short-circuit before minimising; a typo'd
-        # backend must still fail on them, not just on the non-constant ones.
-        reachable = {(1,), (2,)}
-        features = {(1,): {"x": 1}, (2,): {"x": 2}}
-        for predicate in (
-            _predicate(set(), reachable, features),
-            _predicate(reachable, reachable, features),
-        ):
-            with pytest.raises(ValueError):
-                predicate.describe(method="bogus")
+                ), cover
 
     def test_minimised_cover_matches_positive_set(self, count_predicate):
         names, cover = count_predicate.minimised_cover()
