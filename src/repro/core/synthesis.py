@@ -25,7 +25,7 @@ Two programs from the paper are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.bitset import blocks_within
 from repro.core.checker import ModelChecker
@@ -34,7 +34,7 @@ from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.logic.atoms import decides_now
 from repro.logic.builders import big_or, neg
 from repro.logic.formula import EvEventually, Knows
-from repro.systems.actions import Action, JointAction, NOOP
+from repro.systems.actions import Action, NOOP
 from repro.systems.model import BAModel
 from repro.systems.space import LevelledSpace
 
@@ -179,29 +179,9 @@ def synthesize_sba(
                     label=value,
                 )
 
-        joint_actions = _joint_actions_from_rule(space, level, rule)
-        space.set_actions(level, joint_actions)
-        if level < space.horizon:
-            space.extend()
+        space.advance(rule)
 
     return SBASynthesisResult(model=model, space=space, conditions=conditions, rule=rule)
-
-
-def _joint_actions_from_rule(
-    space: LevelledSpace, level: int, rule: SynthesizedRule
-) -> List[JointAction]:
-    model = space.model
-    joint_actions: List[JointAction] = []
-    for state in space.levels[level]:
-        actions: List[Action] = []
-        for agent in model.agents():
-            local = state.locals[agent]
-            if local.decided or not model.can_act(state, agent):
-                actions.append(NOOP)
-            else:
-                actions.append(rule(agent, local, level))
-        joint_actions.append(tuple(actions))
-    return joint_actions
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +256,7 @@ def _eba_pass(
                     decision_table[observation] = NOOP
             building_rule.table[(agent, level)] = decision_table
 
-        joint_actions = _joint_actions_from_rule(space, level, building_rule)
-        space.set_actions(level, joint_actions)
-        if level < space.horizon:
-            space.extend()
+        space.advance(building_rule)
 
     # Evaluate the decide-1 condition on the completed space.
     checker = ModelChecker(space)

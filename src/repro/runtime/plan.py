@@ -25,15 +25,11 @@ The session cache keys produced by :func:`model_cache_key` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.api.build import build_model, literature_protocol
 from repro.api.scenario import Scenario
-from repro.systems.space import (
-    LevelledSpace,
-    SpaceBudgetExceeded,
-    joint_actions_for_level,
-)
+from repro.systems.space import LevelledSpace, SpaceBudgetExceeded
 
 #: Tasks whose cells build the literature-protocol space a :class:`SpaceKey`
 #: names.  The synthesis tasks are *not* here on purpose: synthesis grows its
@@ -41,14 +37,6 @@ from repro.systems.space import (
 #: depend on the conditions synthesized at earlier levels), so no prebuilt
 #: literature-protocol space can serve it.
 SHARED_SPACE_TASKS = ("sba-model-check", "sba-temporal-only", "eba-model-check")
-
-#: Mask caches copied onto a prefix space, keyed by (time, ...) tuples.
-_TIMED_CACHES = (
-    "_group_cache",
-    "_obs_mask_cache",
-    "_nonfaulty_mask_cache",
-    "_atom_mask_cache",
-)
 
 
 @dataclass(frozen=True)
@@ -169,9 +157,10 @@ class SpaceArtefacts:
     def space_for(self, horizon: int) -> Optional[LevelledSpace]:
         """The space at exactly ``horizon``, served from this build.
 
-        Returns the built space itself at the exact horizon, a prefix view
-        for smaller horizons, or None when this build stopped short of the
-        request without busting its budget (the caller builds fresh).  When
+        Returns the built space itself at the exact horizon, its
+        :meth:`~repro.systems.space.LevelledSpace.prefix` for smaller
+        horizons, or None when this build stopped short of the request
+        without busting its budget (the caller builds fresh).  When
         the budget *was* busted below the requested horizon, raises
         :class:`SpaceBudgetExceeded` — a fresh build of the same scenario
         would bust at the same extension, so raising here is equivalence,
@@ -188,58 +177,7 @@ class SpaceArtefacts:
         assert self.space is not None
         if horizon == self.target_horizon and not self.budget_exceeded:
             return self.space
-        return _prefix_space(self.space, horizon)
-
-
-def _cache_time(cache_key) -> int:
-    """The level a mask-cache entry belongs to (keys are time or (time, ...))."""
-    return cache_key[0] if isinstance(cache_key, tuple) else cache_key
-
-
-def _prefix_space(source: LevelledSpace, horizon: int) -> LevelledSpace:
-    """A horizon-``horizon`` view sharing the source's built levels and masks.
-
-    The per-level lists are shared by reference (levels are append-only and
-    never mutated once built); the outer lists and the mask caches are fresh
-    containers, so a consumer warming *new* masks on the prefix never touches
-    the source's caches.
-    """
-    prefix = LevelledSpace(
-        model=source.model,
-        horizon=horizon,
-        levels=source.levels[: horizon + 1],
-        index_of=source.index_of[: horizon + 1],
-        actions=source.actions[: horizon + 1],
-        successors=source.successors[:horizon],
-        max_states=source.max_states,
-    )
-    for name in _TIMED_CACHES:
-        cache = getattr(source, name, None)
-        if cache:
-            object.__setattr__(
-                prefix,
-                name,
-                {
-                    key: value
-                    for key, value in cache.items()
-                    if _cache_time(key) <= horizon
-                },
-            )
-    level_masks = getattr(source, "_level_mask_cache", None)
-    if level_masks:
-        object.__setattr__(
-            prefix,
-            "_level_mask_cache",
-            {time: mask for time, mask in level_masks.items() if time <= horizon},
-        )
-    predecessors = getattr(source, "_pred_mask_cache", None)
-    if predecessors:
-        object.__setattr__(
-            prefix,
-            "_pred_mask_cache",
-            {time: masks for time, masks in predecessors.items() if time < horizon},
-        )
-    return prefix
+        return self.space.prefix(horizon)
 
 
 def _warm_masks(space: LevelledSpace, built_horizon: int) -> None:
@@ -264,7 +202,6 @@ def _warm_masks(space: LevelledSpace, built_horizon: int) -> None:
 def build_space_artefacts(
     scenario: Scenario,
     horizon: Optional[int] = None,
-    warm_masks: bool = True,
 ) -> SpaceArtefacts:
     """Build one scenario's space artefacts, budget-tolerantly.
 
@@ -296,23 +233,17 @@ def build_space_artefacts(
             budget_exceeded=True,
         )
 
-    built = 0
     budget_exceeded = False
     try:
-        for level in range(target + 1):
-            space.set_actions(
-                level, joint_actions_for_level(space, level, protocol)
-            )
-            built = level
-            if level < target:
-                space.extend()
+        while space.advance(protocol):
+            pass
     except SpaceBudgetExceeded:
         # The over-budget level is fully constructed (extend() appends before
         # checking) but carries no actions; prefix serving never reaches it.
         budget_exceeded = True
+    built = len(space.actions) - 1
 
-    if warm_masks:
-        _warm_masks(space, built)
+    _warm_masks(space, built)
     return SpaceArtefacts(
         key=SpaceKey.from_scenario(scenario),
         model=model,

@@ -35,10 +35,6 @@ class GlobalState:
     env: Hashable
     locals: Tuple[Tuple, ...]
 
-    def local(self, agent: int) -> Tuple:
-        """The local state of ``agent``."""
-        return self.locals[agent]
-
 
 class BAModel:
     """A Byzantine-Agreement model ``(E, F)`` over ``n`` agents.

@@ -7,7 +7,8 @@ reachable state space the natural data structure: the set of reachable global
 states is stored per time level, together with the joint decision action taken
 at each state and the successor relation between consecutive levels.
 
-The space is built incrementally, one level at a time.  This is exactly what
+The space is built incrementally, one level at a time, and every builder
+grows it the same way, by :meth:`LevelledSpace.advance`.  This is exactly what
 knowledge-based-program synthesis needs: the knowledge conditions at time
 ``m`` depend only on the reachable states at time ``m``, which in turn depend
 only on the actions chosen at earlier times.
@@ -16,7 +17,7 @@ only on the actions chosen at earlier times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.systems.actions import Action, JointAction, NOOP
 from repro.systems.model import BAModel, GlobalState
@@ -31,6 +32,18 @@ def _pack(indices) -> int:
     for index in indices:
         bits |= 1 << index
     return bits
+
+
+#: The per-level caches :meth:`LevelledSpace.prefix` slices.  Each is keyed
+#: by a time, or by a tuple whose first element is one.
+_MASK_CACHES = (
+    "_group_cache",
+    "_level_mask_cache",
+    "_obs_mask_cache",
+    "_nonfaulty_mask_cache",
+    "_pred_mask_cache",
+    "_atom_mask_cache",
+)
 
 
 class SpaceBudgetExceeded(RuntimeError):
@@ -48,7 +61,6 @@ class LevelledSpace:
     model: BAModel
     horizon: int
     levels: List[List[GlobalState]] = field(default_factory=list)
-    index_of: List[Dict[GlobalState, int]] = field(default_factory=list)
     actions: List[List[JointAction]] = field(default_factory=list)
     successors: List[List[List[int]]] = field(default_factory=list)
     max_states: Optional[int] = None
@@ -65,20 +77,10 @@ class LevelledSpace:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         space = cls(model=model, horizon=horizon, max_states=max_states)
-        level: List[GlobalState] = []
-        index: Dict[GlobalState, int] = {}
-        for state in model.initial_states():
-            if state not in index:
-                index[state] = len(level)
-                level.append(state)
-        space.levels.append(level)
-        space.index_of.append(index)
+        # Distinct initial states, in order of first occurrence.
+        space.levels.append(list(dict.fromkeys(model.initial_states())))
         space._check_budget()
         return space
-
-    def last_level(self) -> int:
-        """The index of the most recently built level."""
-        return len(self.levels) - 1
 
     def set_actions(self, level: int, joint_actions: List[JointAction]) -> None:
         """Record the joint action chosen at each state of ``level``."""
@@ -96,7 +98,7 @@ class LevelledSpace:
 
         Returns the index of the newly built level.
         """
-        level = self.last_level()
+        level = len(self.levels) - 1
         if level >= self.horizon:
             raise ValueError("space is already complete")
         if len(self.actions) <= level:
@@ -121,10 +123,55 @@ class LevelledSpace:
             edges.append(targets)
 
         self.levels.append(new_level)
-        self.index_of.append(new_index)
         self.successors.append(edges)
         self._check_budget()
         return level + 1
+
+    def advance(self, rule: DecisionRule) -> bool:
+        """Grow the space by one step under a decision rule.
+
+        Records ``rule``'s joint actions at the first level without any and,
+        if that level lies below the horizon, builds the next one.
+
+        Returns whether a level was built, so ``while space.advance(rule)``
+        completes the space.  A :class:`SpaceBudgetExceeded` leaves actions
+        on exactly the levels within budget.
+        """
+        level = len(self.actions)
+        if level > self.horizon:
+            raise ValueError("space is already complete")
+        self.set_actions(level, joint_actions_for_level(self, level, rule))
+        if level == self.horizon:
+            return False
+        self.extend()
+        return True
+
+    def prefix(self, horizon: int) -> "LevelledSpace":
+        """A horizon-``horizon`` view sharing this space's levels and masks.
+
+        The per-level lists are shared by reference (levels are append-only
+        and never mutated once built); the outer lists and the mask caches
+        are fresh containers, so a consumer warming *new* masks on the
+        prefix never touches this space's caches.
+        """
+        prefix = LevelledSpace(
+            model=self.model,
+            horizon=horizon,
+            levels=self.levels[: horizon + 1],
+            actions=self.actions[: horizon + 1],
+            successors=self.successors[:horizon],
+            max_states=self.max_states,
+        )
+        for name in _MASK_CACHES:
+            cache = getattr(self, name, None)
+            if cache:
+                # Predecessor masks of level m read the edges into m + 1.
+                last = horizon - 1 if name == "_pred_mask_cache" else horizon
+                object.__setattr__(prefix, name, {
+                    key: value for key, value in cache.items()
+                    if (key[0] if isinstance(key, tuple) else key) <= last
+                })
+        return prefix
 
     def _check_budget(self) -> None:
         if self.max_states is not None and self.num_states() > self.max_states:
@@ -139,16 +186,6 @@ class LevelledSpace:
         """Total number of stored states across all built levels."""
         return sum(len(level) for level in self.levels)
 
-    def num_points(self) -> int:
-        """Synonym for :meth:`num_states`; points are (time, state) pairs."""
-        return self.num_states()
-
-    def points(self) -> Iterator[Point]:
-        """Iterate over every point of the built space."""
-        for time, level in enumerate(self.levels):
-            for index in range(len(level)):
-                yield (time, index)
-
     def state_at(self, point: Point) -> GlobalState:
         """The global state at a point."""
         time, index = point
@@ -160,17 +197,6 @@ class LevelledSpace:
         if time >= len(self.actions):
             return None
         return self.actions[time][index]
-
-    def successors_of(self, point: Point) -> List[Point]:
-        """Successor points (empty at the final built level)."""
-        time, index = point
-        if time >= len(self.successors):
-            return []
-        return [(time + 1, target) for target in self.successors[time][index]]
-
-    def observation(self, point: Point, agent: int) -> Tuple:
-        """The observation of ``agent`` at a point."""
-        return self.model.observation(self.state_at(point), agent)
 
     def eval_atom(self, point: Point, key: Hashable) -> bool:
         """Interpret an atomic proposition at a point."""
@@ -441,8 +467,6 @@ def build_space(
     if rule is None:
         rule = noop_rule
     space = LevelledSpace.initial(model, horizon=horizon, max_states=max_states)
-    for level in range(space.horizon + 1):
-        space.set_actions(level, joint_actions_for_level(space, level, rule))
-        if level < space.horizon:
-            space.extend()
+    while space.advance(rule):
+        pass
     return space

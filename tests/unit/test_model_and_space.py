@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import Scenario, build_model
+from repro.api.build import literature_protocol
 from repro.systems.actions import NOOP
 from repro.systems.model import BAModel, GlobalState
 from repro.systems.space import (
@@ -121,12 +122,9 @@ class TestLevelledSpace:
 
     def test_points_accessors(self, small_model):
         space = build_space(small_model, None)
-        points = list(space.points())
-        assert len(points) == space.num_points()
-        point = points[0]
+        point = (0, 0)
         assert isinstance(space.state_at(point), GlobalState)
         assert space.action_at(point) == (NOOP, NOOP)
-        assert space.successors_of((space.horizon, 0)) == []
 
     def test_observation_groups_partition_each_level(self, small_model):
         space = build_space(small_model, None)
@@ -167,3 +165,46 @@ class TestLevelledSpace:
 
     def test_noop_rule(self):
         assert noop_rule(0, None, 0) is NOOP
+
+
+FLOODSET_4_2 = Scenario(exchange="floodset", num_agents=4, max_faulty=2)
+
+
+class TestAdvance:
+    def test_advance_grows_one_level_per_step(self, small_model):
+        space = LevelledSpace.initial(small_model)
+        for level in range(space.horizon):
+            assert space.advance(noop_rule) is True
+            assert (len(space.actions), len(space.levels)) == (level + 1, level + 2)
+        assert space.advance(noop_rule) is False
+        assert len(space.actions) == len(space.levels) == space.horizon + 1
+
+    def test_advance_on_a_complete_space_raises(self, small_model):
+        space = build_space(small_model, None)
+        with pytest.raises(ValueError):
+            space.advance(noop_rule)
+
+    def test_a_bust_leaves_actions_on_the_levels_within_budget(self):
+        model = build_model(FLOODSET_4_2)
+        space = LevelledSpace.initial(model, max_states=500)
+        with pytest.raises(SpaceBudgetExceeded):
+            while space.advance(literature_protocol(FLOODSET_4_2)):
+                pass
+        # Levels 0-1 hold 452 states; level 2 takes the total to 744.
+        assert [len(level) for level in space.levels] == [16, 436, 292]
+        assert len(space.actions) == 2
+
+    @pytest.mark.parametrize("max_states", [10, 100, 500, 1000, 3000])
+    def test_the_bust_point_does_not_depend_on_the_horizon(self, max_states):
+        model = build_model(FLOODSET_4_2)
+        protocol = literature_protocol(FLOODSET_4_2)
+        sizes = [len(level) for level in build_space(model, protocol).levels]
+        assert sizes == [16, 436, 292, 244, 620]
+        for horizon in range(len(sizes)):
+            if sum(sizes[: horizon + 1]) > max_states:
+                with pytest.raises(SpaceBudgetExceeded):
+                    build_space(model, protocol, horizon=horizon, max_states=max_states)
+            else:
+                space = build_space(model, protocol, horizon=horizon,
+                                    max_states=max_states)
+                assert [len(level) for level in space.levels] == sizes[: horizon + 1]

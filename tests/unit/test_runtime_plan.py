@@ -130,6 +130,15 @@ class TestBuildSpaceArtefacts:
         with pytest.raises(SpaceBudgetExceeded):
             artefacts.space_for(artefacts.target_horizon)
 
+    def test_bust_leaves_built_horizon_at_the_last_level_with_actions(self):
+        scenario = Scenario(exchange="floodset", num_agents=4, max_faulty=2,
+                            max_states=500)
+        artefacts = build_space_artefacts(scenario)
+        space = artefacts.space
+        assert artefacts.budget_exceeded
+        assert artefacts.built_horizon == len(space.actions) - 1 == 1
+        assert len(space.levels) == len(space.actions) + 1
+
     def test_short_build_serves_none_beyond_horizon(self):
         artefacts = build_space_artefacts(FLOODSET_3_1, horizon=2)
         assert artefacts.space_for(3) is None  # caller builds fresh
