@@ -7,7 +7,7 @@ These benchmarks run EBA synthesis for E_min under each omission variant.
 
 import pytest
 
-from repro.harness.tasks import eba_synthesis_task
+from repro.harness.tasks import TASKS
 
 GRID = [(2, 1), (3, 1), (3, 2)]
 
@@ -16,7 +16,7 @@ GRID = [(2, 1), (3, 1), (3, 2)]
 @pytest.mark.parametrize("n,t", GRID, ids=lambda v: str(v))
 def test_emin_synthesis_across_omission_variants(benchmark, n, t, failures):
     result = benchmark.pedantic(
-        eba_synthesis_task,
+        TASKS["eba-synthesis"],
         kwargs={
             "exchange": "emin",
             "num_agents": n,

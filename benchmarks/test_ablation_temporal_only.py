@@ -9,7 +9,7 @@ on the same models in our engine.
 
 import pytest
 
-from repro.harness.tasks import sba_model_check_task, sba_temporal_only_task
+from repro.harness.tasks import TASKS
 
 CASES = [
     ("floodset", 4, 3),
@@ -22,7 +22,7 @@ CASES = [
 @pytest.mark.parametrize("exchange,n,t", CASES, ids=lambda v: str(v))
 def test_temporal_only_model_check(benchmark, exchange, n, t):
     result = benchmark.pedantic(
-        sba_temporal_only_task,
+        TASKS["sba-temporal-only"],
         kwargs={"exchange": exchange, "num_agents": n, "max_faulty": t},
         rounds=1,
         iterations=1,
@@ -33,7 +33,7 @@ def test_temporal_only_model_check(benchmark, exchange, n, t):
 @pytest.mark.parametrize("exchange,n,t", CASES, ids=lambda v: str(v))
 def test_full_epistemic_model_check(benchmark, exchange, n, t):
     result = benchmark.pedantic(
-        sba_model_check_task,
+        TASKS["sba-model-check"],
         kwargs={"exchange": exchange, "num_agents": n, "max_faulty": t},
         rounds=1,
         iterations=1,

@@ -11,7 +11,7 @@ cells) is produced by ``python -m repro table1``.
 
 import pytest
 
-from repro.harness.tasks import sba_model_check_task, sba_synthesis_task
+from repro.harness.tasks import TASKS
 
 FLOODSET_GRID = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 4)]
 COUNT_GRID = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
@@ -20,7 +20,7 @@ COUNT_GRID = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 @pytest.mark.parametrize("n,t", FLOODSET_GRID, ids=lambda v: str(v))
 def test_floodset_model_check(benchmark, n, t):
     result = benchmark.pedantic(
-        sba_model_check_task,
+        TASKS["sba-model-check"],
         kwargs={"exchange": "floodset", "num_agents": n, "max_faulty": t},
         rounds=1,
         iterations=1,
@@ -32,7 +32,7 @@ def test_floodset_model_check(benchmark, n, t):
 @pytest.mark.parametrize("n,t", FLOODSET_GRID, ids=lambda v: str(v))
 def test_floodset_synthesis(benchmark, n, t):
     result = benchmark.pedantic(
-        sba_synthesis_task,
+        TASKS["sba-synthesis"],
         kwargs={"exchange": "floodset", "num_agents": n, "max_faulty": t},
         rounds=1,
         iterations=1,
@@ -45,7 +45,7 @@ def test_floodset_synthesis(benchmark, n, t):
 @pytest.mark.parametrize("n,t", COUNT_GRID, ids=lambda v: str(v))
 def test_count_model_check(benchmark, n, t):
     result = benchmark.pedantic(
-        sba_model_check_task,
+        TASKS["sba-model-check"],
         kwargs={
             "exchange": "count",
             "num_agents": n,
@@ -62,7 +62,7 @@ def test_count_model_check(benchmark, n, t):
 @pytest.mark.parametrize("n,t", COUNT_GRID, ids=lambda v: str(v))
 def test_count_synthesis(benchmark, n, t):
     result = benchmark.pedantic(
-        sba_synthesis_task,
+        TASKS["sba-synthesis"],
         kwargs={"exchange": "count", "num_agents": n, "max_faulty": t},
         rounds=1,
         iterations=1,

@@ -7,7 +7,7 @@ impact on performance — it is minimal, which these benchmarks reproduce).
 
 import pytest
 
-from repro.harness.tasks import sba_model_check_task
+from repro.harness.tasks import TASKS
 
 
 def _grid(max_n):
@@ -25,7 +25,7 @@ GRID = _grid(3)
 @pytest.mark.parametrize("n,t,rounds", GRID, ids=lambda v: str(v))
 def test_diff_model_check(benchmark, n, t, rounds):
     result = benchmark.pedantic(
-        sba_model_check_task,
+        TASKS["sba-model-check"],
         kwargs={
             "exchange": "diff",
             "num_agents": n,
@@ -45,7 +45,7 @@ def test_diff_model_check(benchmark, n, t, rounds):
 @pytest.mark.parametrize("n,t,rounds", GRID, ids=lambda v: str(v))
 def test_dwork_moses_model_check(benchmark, n, t, rounds):
     result = benchmark.pedantic(
-        sba_model_check_task,
+        TASKS["sba-model-check"],
         kwargs={
             "exchange": "dwork-moses",
             "num_agents": n,

@@ -9,7 +9,7 @@ ordering shows up in these benchmarks.
 
 import pytest
 
-from repro.harness.tasks import eba_synthesis_task
+from repro.harness.tasks import TASKS
 
 GRID = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)]
 
@@ -18,7 +18,7 @@ GRID = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)]
 @pytest.mark.parametrize("n,t", GRID, ids=lambda v: str(v))
 def test_emin_synthesis(benchmark, n, t, failures):
     result = benchmark.pedantic(
-        eba_synthesis_task,
+        TASKS["eba-synthesis"],
         kwargs={
             "exchange": "emin",
             "num_agents": n,
@@ -35,7 +35,7 @@ def test_emin_synthesis(benchmark, n, t, failures):
 @pytest.mark.parametrize("n,t", GRID, ids=lambda v: str(v))
 def test_ebasic_synthesis(benchmark, n, t, failures):
     result = benchmark.pedantic(
-        eba_synthesis_task,
+        TASKS["eba-synthesis"],
         kwargs={
             "exchange": "ebasic",
             "num_agents": n,

@@ -8,7 +8,7 @@ Examples::
     python -m repro report table3.jsonl --format csv
     python -m repro synthesize --exchange floodset --agents 3 --faulty 1
     python -m repro check --exchange floodset --agents 3 --faulty 2
-    python -m repro table2 --max-n 3 --no-share-spaces   # per-cell rebuild baseline
+    python -m repro table2 --max-n 3 --no-share-spaces   # cell times include the build
     python -m repro serve --port 8765
     python -m repro serve --workers 4 --preload table1:max-n=4
     python -m repro serve --workers 4 --store /var/cache/repro --store-max-bytes 268435456
@@ -47,7 +47,7 @@ from repro.api import Scenario, Session
 from repro.api.service import DEFAULT_HOST, DEFAULT_PORT, serve
 from repro.devtools.rules import RULE_CODES
 from repro.failures import FAILURE_MODELS
-from repro.harness.runner import run_case
+from repro.harness.runner import run_case, validate_timeout
 from repro.harness.store import ResultStore
 from repro.harness.tables import (
     TableResult,
@@ -127,8 +127,11 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--share-spaces", action=argparse.BooleanOptionalAction, default=True,
         help="build each distinct state space once in the scheduler and fork "
-             "the cells that read it from the prebuilt copy (default on; "
-             "--no-share-spaces is the per-cell rebuild baseline)",
+             "the cells that read it from the prebuilt copy (default on). A "
+             "shared cell's time then excludes its space build, which the "
+             "[preload] progress line reports; --no-share-spaces rebuilds "
+             "the space in every cell, so each cell's time includes it, as "
+             "in the paper. Results are identical either way",
     )
 
 
@@ -157,6 +160,7 @@ def _table_command(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
+        validate_timeout(args.timeout)
         store = ResultStore(args.output) if args.output is not None else None
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -220,13 +224,13 @@ def _check_command(args: argparse.Namespace) -> int:
         scenario = _scenario_from_args(args)
         task = scenario.check_task()
         params = scenario.to_params(task)
+        validate_timeout(args.timeout)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.profile:
         # The check runs in a forked child, which re-reads this variable on
-        # start-up — setting it here covers both the fork and, for
-        # timeout-less in-process runs, the current process.
+        # start-up, so setting it after import still takes effect.
         os.environ[obs_profile.ENV_VAR] = "1"
     # The forked runner keeps the paper's per-run wall-clock budget
     # enforceable; the cell parameters are the scenario's canonical form.

@@ -1,15 +1,18 @@
-"""Run experiment tasks in separate processes with wall-clock budgets.
+"""Run experiment tasks in forked processes with wall-clock budgets.
 
 Each table cell in the paper is one run of MCK with a 10-minute timeout; the
-runner reproduces that protocol: the task is executed in a forked process, and
-if it does not finish within the budget it is terminated and the cell is
-reported as ``TO``.  A state budget (``max_states``) provides an additional
-memory guard that is also reported as ``TO``.
+runner reproduces that protocol: every cell runs in a forked child, and if it
+does not finish within the budget it is terminated and the cell is reported
+as ``TO``.  A state budget (``max_states``) provides an additional memory
+guard that is also reported as ``TO``.  There is no in-process path: a budget
+is only enforceable on a process the runner can kill.
 
-:class:`CaseHandle` is the non-blocking half of the runner: it starts the
-child and can be polled against its deadline, which is what lets
-:func:`repro.harness.tables.run_table` keep several cells in flight at once.
-:func:`run_case` is the blocking convenience wrapper around it.
+The child runs :func:`_execute`, which turns one
+:func:`~repro.harness.tasks.run_task` into a :class:`CaseOutcome`, and pipes
+the whole outcome back.  :class:`CaseHandle` is the non-blocking half of the
+runner: it starts the child and can be polled against its deadline, which is
+what lets :func:`repro.harness.tables.run_table` keep several cells in flight
+at once.  :func:`run_case` is the blocking wrapper around it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.harness import tasks as task_registry
-from repro.harness.tasks import TASKS
+from repro.harness.tasks import TASKS, run_task
 from repro.obs import profile as obs_profile
-from repro.runtime.guard import WallClockExceeded, wall_clock_limit
 from repro.systems.space import SpaceBudgetExceeded
 
 #: How long a timed-out child gets to honour SIGTERM before it is SIGKILLed.
@@ -40,8 +41,8 @@ class CaseOutcome:
     ``build_seconds``/``check_seconds`` split ``seconds`` into shareable
     artefact construction (model + space) and everything else (satisfaction,
     optimality, synthesis search).  They are None for cells that did not
-    report a split (timeouts, errors, journal records written before the
-    split existed).  Synthesis cells report a build share of ~0 by
+    report a split (timeouts, errors, ad-hoc tasks, journal records written
+    before the split existed).  Synthesis cells report a build share of ~0 by
     construction: their space grows inside the search and is not shareable.
     """
 
@@ -79,36 +80,56 @@ class CaseOutcome:
         return f"{minutes}m{seconds:06.3f}"
 
 
-def _child(task_name: str, params: Dict[str, object], pipe, preloaded=None) -> None:
-    # The child measures its own elapsed time: the scheduler may be busy
-    # (e.g. escalating a sibling's kill) when this child exits, so a
-    # harvest-time measurement in the parent would overstate the runtime.
-    # ``preloaded`` arrived by reference across the fork (copy-on-write, no
-    # pickling); installing it here lets the task's session read the parent's
-    # prebuilt space artefacts.
-    task_registry.set_active_preloader(preloaded)
-    task_registry.consume_last_run()
-    # The fork copied the parent's profiling state; this cell's profile must
-    # start from zero.  Profiling enablement is re-derived from the
-    # environment here for the same reason — the parent imported
-    # repro.obs.profile long before --profile set the flag.
+def validate_timeout(timeout: Optional[float]) -> None:
+    """Refuse a wall-clock budget that is not positive (None is unbounded)."""
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout:g}")
+
+
+def _execute(task: str, params: Dict[str, object], preloaded) -> CaseOutcome:
+    """Run one cell in this process and turn the run into its outcome.
+
+    This is the forked child's whole job.  It measures its own ``seconds``:
+    the scheduler may be busy (e.g. escalating a sibling's kill) when the
+    child exits, so a harvest-time measurement in the parent would overstate
+    the runtime.  The fork copied the parent's profiling state, so profiling
+    is re-derived from the environment (the parent imported
+    :mod:`repro.obs.profile` long before ``--profile`` set the variable) and
+    the inherited counts are dropped: a cell's ``profile`` holds only its own
+    kernel calls.
+    """
     obs_profile.maybe_enable_from_env()
     obs_profile.consume_summary()
     start = time.perf_counter()
     try:
-        func = TASKS[task_name]
-        result = func(**params)
-        run = task_registry.consume_last_run()
-        timing = run[:2] if run else None
-        observed = {
-            "metrics": run[2] if run else None,
-            "profile": obs_profile.consume_summary(),
-        }
-        pipe.send(("ok", result, time.perf_counter() - start, timing, observed))
+        run = run_task(task, params, preloaded)
+    except SpaceBudgetExceeded:
+        # A busted state budget plays the role of the paper's timeout.
+        return CaseOutcome(task, params, seconds=None, timed_out=True)
     except MemoryError:
-        pipe.send(("error", "out of memory", None, None))
-    except Exception:  # pragma: no cover - defensive: report, don't hang
-        pipe.send(("error", traceback.format_exc(limit=5), None, None))
+        error = "out of memory"
+    except Exception:
+        error = traceback.format_exc(limit=5)
+    else:
+        return CaseOutcome(
+            task=task,
+            params=params,
+            seconds=time.perf_counter() - start,
+            timed_out=False,
+            result=run.result,
+            build_seconds=run.build_seconds,
+            check_seconds=run.check_seconds,
+            metrics=run.metrics,
+            profile=obs_profile.consume_summary(),
+        )
+    return CaseOutcome(task, params, seconds=None, timed_out=False, error=error)
+
+
+def _child(task: str, params: Dict[str, object], pipe, preloaded) -> None:
+    # ``preloaded`` arrived by reference across the fork (copy-on-write, no
+    # pickling), so the task's session reads the parent's prebuilt spaces.
+    try:
+        pipe.send(_execute(task, params, preloaded))
     finally:
         pipe.close()
 
@@ -134,6 +155,7 @@ class CaseHandle:
     ) -> None:
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}; known tasks: {sorted(TASKS)}")
+        validate_timeout(timeout)
         self.task = task
         self.params = params
         self.timeout = timeout
@@ -191,31 +213,18 @@ class CaseHandle:
         """
         if self._outcome is not None:
             return self._outcome
-        elapsed = time.perf_counter() - self.started
-
-        timed_out = False
-        if self._process.is_alive():
-            timed_out = True
+        timed_out = self._process.is_alive()
+        if timed_out:
             self._process.terminate()
             self._process.join(self.term_grace)
             if self._process.is_alive():
                 self._process.kill()
                 self._process.join()
 
-        status, payload, child_seconds, timing, observed = (
-            "error", "worker produced no result", None, None, None,
-        )
+        outcome: Optional[CaseOutcome] = None
         try:
             if self._pipe.poll():
-                message = self._pipe.recv()
-                # Tolerate the pre-split 3-tuple and pre-observability
-                # 4-tuple shapes: a monkeypatched or stale child sending
-                # without timing or metrics is not an error.
-                status, payload, child_seconds = message[:3]
-                timing = message[3] if len(message) > 3 else None
-                observed = message[4] if len(message) > 4 else None
-                if not isinstance(observed, dict):
-                    observed = None
+                outcome = self._pipe.recv()
         except (EOFError, OSError):  # pragma: no cover - torn-down pipe
             pass
         finally:
@@ -225,33 +234,12 @@ class CaseHandle:
 
         if timed_out:
             outcome = CaseOutcome(
-                task=self.task, params=self.params, seconds=None, timed_out=True
+                self.task, self.params, seconds=None, timed_out=True
             )
-        elif status == "ok":
+        elif outcome is None:
             outcome = CaseOutcome(
-                task=self.task,
-                params=self.params,
-                seconds=child_seconds if child_seconds is not None else elapsed,
-                timed_out=False,
-                result=payload,
-                build_seconds=timing[0] if timing else None,
-                check_seconds=timing[1] if timing else None,
-                metrics=(observed or {}).get("metrics"),
-                profile=(observed or {}).get("profile"),
-            )
-        elif isinstance(payload, str) and "SpaceBudgetExceeded" in payload:
-            # A state-budget violation surfaces as an error; report it as TO
-            # since it plays the same role as the paper's timeout.
-            outcome = CaseOutcome(
-                task=self.task, params=self.params, seconds=None, timed_out=True
-            )
-        else:
-            outcome = CaseOutcome(
-                task=self.task,
-                params=self.params,
-                seconds=None,
-                timed_out=False,
-                error=str(payload),
+                self.task, self.params, seconds=None, timed_out=False,
+                error="worker produced no result",
             )
         self._outcome = outcome
         return outcome
@@ -261,68 +249,16 @@ def run_case(
     task: str,
     params: Dict[str, object],
     timeout: Optional[float] = None,
-    in_process: bool = False,
     term_grace: float = TERM_GRACE_SECONDS,
     preloaded=None,
 ) -> CaseOutcome:
-    """Run one experiment case, optionally with a wall-clock budget.
+    """Run one experiment case in a forked child and wait for its outcome.
 
-    ``in_process=True`` skips the fork and runs the task directly; this is
-    what the pytest-benchmark benchmarks use so that the measured time is the
-    task itself rather than process start-up.  The wall-clock budget still
-    applies in-process, enforced with a SIGALRM interval timer — best-effort
-    (a task stuck in one long C-level operation cannot be interrupted) and,
-    off the main thread, degraded to an explicit ``RuntimeWarning``.
-
-    ``preloaded`` is a :class:`~repro.runtime.preload.Preloader` whose
-    read-only space artefacts the task's session consumes instead of
-    building; forked children inherit it copy-on-write.
+    ``timeout=None`` waits with no deadline.  ``preloaded`` is a
+    :class:`~repro.runtime.preload.Preloader` whose read-only space
+    artefacts the task's session consumes instead of building; the child
+    inherits it copy-on-write.
     """
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; known tasks: {sorted(TASKS)}")
-
-    if in_process or timeout is None:
-        previous_preloader = task_registry._ACTIVE_PRELOADER
-        task_registry.set_active_preloader(preloaded)
-        task_registry.consume_last_run()
-        # The metrics snapshot comes from the task's own session, exactly as
-        # in a forked cell; the profile is collected per call.
-        obs_profile.maybe_enable_from_env()
-        obs_profile.consume_summary()
-        start = time.perf_counter()
-        try:
-            with wall_clock_limit(timeout, label=f"task {task!r}"):
-                result = TASKS[task](**params)
-        except (WallClockExceeded, SpaceBudgetExceeded):
-            # Same verdict as the forked path: a busted wall-clock or state
-            # budget is the paper's TO cell, not an error.
-            return CaseOutcome(
-                task=task, params=params, seconds=None, timed_out=True
-            )
-        except Exception:
-            return CaseOutcome(
-                task=task,
-                params=params,
-                seconds=None,
-                timed_out=False,
-                error=traceback.format_exc(limit=5),
-            )
-        finally:
-            task_registry.set_active_preloader(previous_preloader)
-        elapsed = time.perf_counter() - start
-        run = task_registry.consume_last_run()
-        return CaseOutcome(
-            task=task,
-            params=params,
-            seconds=elapsed,
-            timed_out=False,
-            result=result,
-            build_seconds=run[0] if run else None,
-            check_seconds=run[1] if run else None,
-            metrics=run[2] if run else None,
-            profile=obs_profile.consume_summary(),
-        )
-
     handle = CaseHandle(
         task, params, timeout=timeout, term_grace=term_grace, preloaded=preloaded
     )

@@ -158,37 +158,13 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    def _key_candidates(self, task: str, params: Dict[str, object]) -> List[str]:
-        """The store keys a cell may be filed under, most specific first.
-
-        Journals written before engine selection existed carry no ``engine``
-        in their cell parameters; every outcome in them ran on the bitset
-        engine, so a bitset lookup falls back to the engine-less key.  For
-        scenario tasks the :func:`canonical_key` normalisation already
-        re-keys engine-less parameters to the bitset form (both candidates
-        coincide); the explicit fallback matters for ad-hoc tasks that key
-        under raw parameter JSON.
-        """
-        keys = [canonical_key(task, params)]
-        if params.get("engine") == "bitset":
-            legacy = {name: value for name, value in params.items() if name != "engine"}
-            keys.append(canonical_key(task, legacy))
-        return keys
-
     def get(self, task: str, params: Dict[str, object]) -> Optional[CaseOutcome]:
         """The stored outcome for a cell, or None if it has not completed."""
-        for key in self._key_candidates(task, params):
-            outcome = self.outcomes.get(key)
-            if outcome is not None:
-                return outcome
-        return None
+        return self.outcomes.get(canonical_key(task, params))
 
     def budget_for(self, task: str, params: Dict[str, object]) -> Optional[float]:
         """The wall-clock budget a stored outcome ran under, if recorded."""
-        for key in self._key_candidates(task, params):
-            if key in self.budgets:
-                return self.budgets[key]
-        return None
+        return self.budgets.get(canonical_key(task, params))
 
     def _append(self, record: Dict[str, object]) -> None:
         with self.path.open("a") as handle:

@@ -3,10 +3,11 @@
 Each :class:`TableSpec` describes one of the paper's tables (or one of our
 ablations) as a list of rows, where every row contains the varied parameters
 and one or more cells; every cell is an experiment task run with a wall-clock
-budget.  :func:`run_table` executes a spec — sequentially or on a pool of
-``workers`` concurrent forked children, optionally journalling every
-completed cell to a :class:`~repro.harness.store.ResultStore` and skipping
-cells the store already holds (``resume=True``) — and :func:`render_table`,
+budget.  :func:`run_table` executes a spec on a pool of ``workers``
+concurrent forked children (one worker is a sequential sweep), optionally
+journalling every completed cell to a
+:class:`~repro.harness.store.ResultStore` and skipping cells the store
+already holds (``resume=True``) — and :func:`render_table`,
 :func:`render_json` and :func:`render_csv` render the outcome in the same
 row/column structure the paper uses.
 """
@@ -27,7 +28,7 @@ from repro.harness.runner import (
     TERM_GRACE_SECONDS,
     CaseHandle,
     CaseOutcome,
-    run_case,
+    validate_timeout,
 )
 from repro.harness.store import ResultStore
 from repro.runtime.guard import wall_clock_limit
@@ -240,27 +241,32 @@ def run_table(
 ) -> TableResult:
     """Run every cell of a table spec with the given budgets.
 
-    With ``workers > 1`` up to that many cells run concurrently, each in its
-    own forked child with the per-cell wall-clock budget still enforced by
-    the scheduler.  A ``store`` journals every completed cell immediately;
-    with ``resume=True`` cells whose canonical key the store already holds
-    are reused instead of re-run, so an interrupted sweep loses at most the
-    cells that were in flight.
+    Up to ``workers`` cells run at once, each in its own forked child, with
+    the per-cell wall-clock budget enforced by the scheduler.
+    ``timeout=None`` sets no budget; a budget that is not positive raises
+    ``ValueError`` before anything forks.  A ``store`` journals every
+    completed cell immediately; with ``resume=True`` cells whose canonical
+    key the store already holds are reused instead of re-run, so an
+    interrupted sweep loses at most the cells that were in flight.
 
     With ``share_spaces`` (the default) model-checking cells that read the
     same literature-protocol space are grouped and served from one
     parent-side build forked copy-on-write into each child, instead of every
-    child rebuilding the space from scratch; ``share_spaces=False`` is the
-    per-cell rebuild baseline (what the benchmarks compare against).
-    Outcomes are identical either way — a preloaded space is byte-for-byte
-    the space the cell would have built (see :mod:`repro.runtime.plan`) —
-    only the wall-clock changes.  While the parent is building a group's
-    space, harvesting of in-flight cells is delayed: a cell past its
-    deadline is killed correspondingly late, but its recorded time is the
-    child's own measurement, so the delay never inflates reported numbers.
+    child rebuilding the space from scratch.  A shared cell's time then
+    excludes its group's space build: the build is reported on the
+    ``[preload]`` progress line, and the cell journals ``build_seconds`` 0.
+    ``share_spaces=False`` gives per-cell times that include the build, as
+    in the paper's one-run-per-cell protocol.  Outcomes are identical either
+    way — a preloaded space is byte-for-byte the space the cell would have
+    built (see :mod:`repro.runtime.plan`) — only the times change.  While
+    the parent is building a group's space, harvesting of in-flight cells is
+    delayed: a cell past its deadline is killed correspondingly late, but
+    its recorded time is the child's own measurement, so the delay never
+    inflates reported numbers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    validate_timeout(timeout)
     result = TableResult(spec=spec)
     cells = _resolved_cells(spec, max_states)
     if store is not None:
@@ -299,20 +305,6 @@ def run_table(
     )
     if shared is not None:
         pending = shared.schedule
-
-    if workers == 1:
-        for index, (row_key, column, task, case_params) in enumerate(pending):
-            preloaded = (
-                shared.preloader_for(index) if shared is not None else None
-            )
-            outcome = run_case(
-                task, case_params, timeout=timeout, term_grace=term_grace,
-                preloaded=preloaded,
-            )
-            if shared is not None:
-                shared.forked(index)
-            record(row_key, column, outcome)
-        return result
 
     # Worker-pool scheduler: keep up to ``workers`` forked children in
     # flight; wake on child exit (their sentinels) or the earliest deadline,

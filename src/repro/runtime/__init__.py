@@ -14,8 +14,8 @@ the shared mechanism that amortises that cost:
 * :mod:`repro.runtime.preload` — :class:`Preloader`, a read-only artefact
   set built in the parent process *before* forking so children inherit it
   copy-on-write, plus the ``serve --preload`` scenario-frontier parser;
-* :mod:`repro.runtime.guard` — the SIGALRM wall-clock guard shared by
-  in-process case runs and parent-side preloads.
+* :mod:`repro.runtime.guard` — the SIGALRM wall-clock guard that bounds
+  the grid scheduler's parent-side preloads.
 """
 
 from repro.runtime.guard import WallClockExceeded, wall_clock_limit

@@ -1,9 +1,9 @@
 """A SIGALRM-based wall-clock guard for work that cannot be forked.
 
-The grid runner enforces per-cell budgets by forking and killing; two places
-cannot do that and still need a budget: ``run_case(in_process=True)`` (the
-benchmarks' no-fork path) and the scheduler's own pre-fork space builds.
-:func:`wall_clock_limit` covers both with an interval timer that raises
+The grid runner enforces per-cell budgets by forking and killing; the
+scheduler's own parent-side space preloads cannot be forked (their point is
+that the cells fork from them) and still need a budget.
+:func:`wall_clock_limit` bounds them with an interval timer that raises
 :class:`WallClockExceeded` in the guarded frame.
 
 Signals only deliver to the main thread, so off the main thread (or on

@@ -125,9 +125,6 @@ class Preloader:
 
     # ---------------------------------------------------------------- lookup
 
-    def get(self, key: SpaceKey) -> Optional[SpaceArtefacts]:
-        return self._artefacts.get(key)
-
     def space_for(
         self, scenario: Scenario, horizon: int
     ) -> Optional[LevelledSpace]:
@@ -144,9 +141,6 @@ class Preloader:
     def model_for(self, scenario: Scenario):
         """The preloaded model for a scenario's model slice, if any."""
         return self._models.get(model_key(scenario))
-
-    def keys(self) -> List[SpaceKey]:
-        return list(self._artefacts)
 
     def total_states(self) -> int:
         """Total states across all live artefacts (parent-side footprint)."""

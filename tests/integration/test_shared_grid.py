@@ -10,6 +10,7 @@ their inherited spaces must never write back into the parent's artefacts.
 
 from repro.api import Scenario, Session
 from repro.harness.runner import run_case
+from repro.harness.tasks import run_task
 from repro.harness.tables import (
     ablation_temporal_only,
     run_table,
@@ -82,20 +83,16 @@ class TestForkBarrageIsolation:
         assert not space._cache("_atom_mask_cache")
         assert dict(space._cache("_obs_mask_cache")) == obs_before
 
-    def test_in_process_preloaded_session_is_scoped_to_the_case(self):
-        from repro.harness import tasks as task_registry
-
+    def test_preloaded_task_run_matches_a_fresh_one_without_building(self):
         scenario = Scenario(exchange="floodset", num_agents=3, max_faulty=1)
         preloader = Preloader()
         preloader.ensure(scenario)
         params = scenario.to_params()
-        outcome = run_case("sba-model-check", dict(params), in_process=True,
-                           preloaded=preloader)
-        fresh = run_case("sba-model-check", dict(params), in_process=True)
-        assert outcome.ok and fresh.ok
-        assert outcome.result == fresh.result
-        # The injected preloader must not outlive its case.
-        assert task_registry._ACTIVE_PRELOADER is None
+        warm = run_task("sba-model-check", dict(params), preloaded=preloader)
+        fresh = run_task("sba-model-check", dict(params))
+        assert warm.result == fresh.result
+        assert warm.build_seconds == 0.0
+        assert fresh.build_seconds > 0.0
 
     def test_preloaded_first_query_skips_the_build(self):
         scenario = Scenario(exchange="floodset", num_agents=4, max_faulty=2)

@@ -278,6 +278,21 @@ class TestCommands:
         assert f"'{engine}' is not a satisfaction engine" in capsys.readouterr().err
         assert journal.read_text() == text
 
+    def test_table_command_refuses_a_zero_timeout(self, capsys):
+        code = main(["table1", "--max-n", "2", "--timeout", "0", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "timeout must be positive" in captured.err
+        assert captured.out == ""
+
+    def test_check_command_refuses_a_negative_timeout(self, capsys):
+        code = main(["check", "--exchange", "floodset", "--agents", "2",
+                     "--faulty", "1", "--timeout", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "timeout must be positive" in captured.err
+        assert "result:" not in captured.out
+
     def test_resume_requires_output(self, capsys):
         code = main(["table1", "--max-n", "2", "--resume", "--quiet"])
         captured = capsys.readouterr()

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from repro.harness.runner import CaseOutcome, run_case
+from repro.core.bitset import blocks_within
+from repro.harness.runner import CaseHandle, CaseOutcome, run_case
 from repro.harness.tasks import TASKS
 from repro.harness.tables import (
     TableSpec,
@@ -21,6 +22,8 @@ from repro.harness.tables import (
     table2_spec,
     table3_spec,
 )
+from repro.obs import profile as obs_profile
+from repro.runtime.preload import Preloader
 
 QUICK_CASE = {"exchange": "floodset", "num_agents": 2, "max_faulty": 1}
 
@@ -39,11 +42,11 @@ def _stubborn_sleep(seconds: float = 30.0, engine: str = "bitset") -> dict:
 
 
 class TestRunCase:
-    def test_in_process_execution_returns_result(self):
+    def test_execution_returns_result(self):
         outcome = run_case(
             "sba-synthesis",
             {"exchange": "floodset", "num_agents": 2, "max_faulty": 1},
-            in_process=True,
+            timeout=60.0,
         )
         assert outcome.ok
         assert outcome.result["n"] == 2
@@ -58,7 +61,7 @@ class TestRunCase:
         outcome = run_case(
             "sba-synthesis",
             {"exchange": "floodset", "num_agents": 2, "max_faulty": 5},
-            in_process=True,
+            timeout=60.0,
         )
         assert not outcome.ok
         assert outcome.error is not None
@@ -108,75 +111,20 @@ class TestRunCase:
             assert outcome.cell() == expected, seconds
 
 
-class TestInProcessWallClock:
-    """Satellite: ``in_process=True`` must honour the wall-clock budget."""
-
-    def test_in_process_timeout_is_enforced(self, monkeypatch):
-        def _sleepy(seconds: float = 30.0, engine: str = "bitset") -> dict:
-            time.sleep(seconds)
-            return {}
-
-        monkeypatch.setitem(TASKS, "sleepy", _sleepy)
-        start = time.monotonic()
-        outcome = run_case("sleepy", {"seconds": 30.0}, timeout=0.2,
-                           in_process=True)
-        assert outcome.timed_out
-        assert outcome.cell() == "TO"
-        assert time.monotonic() - start < 10.0
-
-    def test_in_process_within_budget_is_untouched(self):
-        outcome = run_case("sba-synthesis", dict(QUICK_CASE), timeout=60.0,
-                           in_process=True)
-        assert outcome.ok and not outcome.timed_out
-
-    def test_off_main_thread_degrades_with_warning(self, monkeypatch):
-        import threading
-        import warnings
-
-        def _nap(engine: str = "bitset") -> dict:
-            time.sleep(0.3)
-            return {}
-
-        monkeypatch.setitem(TASKS, "nap", _nap)
-        observed = {}
-
-        def _run():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                observed["outcome"] = run_case(
-                    "nap", {}, timeout=0.05, in_process=True)
-                observed["warnings"] = [str(w.message) for w in caught]
-
-        thread = threading.Thread(target=_run)
-        thread.start()
-        thread.join()
-        # Signals only work on the main thread: the task runs to completion
-        # and the degraded enforcement is called out loudly.
-        assert observed["outcome"].ok
-        assert any("not enforced" in msg for msg in observed["warnings"])
-
-
 class TestTimingSplit:
-    def test_in_process_outcome_carries_build_check_split(self):
-        outcome = run_case("sba-model-check", dict(QUICK_CASE),
-                           in_process=True)
+    def test_forked_outcome_carries_build_check_split(self):
+        outcome = run_case("sba-model-check", dict(QUICK_CASE), timeout=60.0)
         assert outcome.ok
         assert outcome.build_seconds is not None
         assert outcome.check_seconds is not None
         assert outcome.build_seconds + outcome.check_seconds \
             <= outcome.seconds + 0.05
 
-    def test_forked_outcome_carries_build_check_split(self):
-        outcome = run_case("sba-model-check", dict(QUICK_CASE), timeout=60.0)
-        assert outcome.ok
-        assert outcome.build_seconds is not None
-        assert outcome.check_seconds is not None
-
     def test_failed_outcomes_have_no_split(self):
         outcome = run_case(
             "sba-synthesis",
             {"exchange": "floodset", "num_agents": 2, "max_faulty": 5},
-            in_process=True,
+            timeout=60.0,
         )
         assert not outcome.ok
         assert outcome.build_seconds is None
@@ -212,8 +160,6 @@ class TestRunnerResourceHandling:
         # The scheduler may harvest long after the child exits (e.g. while
         # escalating a sibling's kill); the reported time must be the
         # child's own measurement, not the harvest delay.
-        from repro.harness.runner import CaseHandle
-
         handle = CaseHandle("sba-synthesis", dict(QUICK_CASE), timeout=60.0)
         handle.join(30.0)
         time.sleep(1.0)  # simulate a busy scheduler
@@ -235,6 +181,75 @@ class TestRunnerResourceHandling:
         assert outcome.cell() == "TO"
         assert elapsed < 10.0, f"kill escalation took {elapsed:.1f}s"
         assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_sending_is_an_error(self, monkeypatch):
+        def _vanish(engine: str = "bitset") -> dict:
+            os._exit(3)
+
+        monkeypatch.setitem(TASKS, "vanish", _vanish)
+        outcome = run_case("vanish", {}, timeout=30.0)
+        assert not outcome.timed_out
+        assert outcome.error == "worker produced no result"
+        assert outcome.cell() == "ERR"
+        assert multiprocessing.active_children() == []
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("timeout", [0, -5.0])
+    def test_non_positive_timeouts_are_refused_before_any_work(
+        self, monkeypatch, timeout
+    ):
+        started = []
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            lambda process: started.append("fork"))
+        monkeypatch.setattr(Preloader, "ensure",
+                            lambda *args, **kwargs: started.append("preload"))
+        for refused in (
+            lambda: run_case("sba-synthesis", dict(QUICK_CASE), timeout=timeout),
+            lambda: CaseHandle("sba-synthesis", dict(QUICK_CASE), timeout=timeout),
+            lambda: run_table(ablation_temporal_only(max_n=3), timeout=timeout),
+        ):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                refused()
+        assert started == []
+
+
+@pytest.fixture
+def profiler_off():
+    obs_profile.disable()
+    yield
+    obs_profile.disable()
+
+
+class TestCellProfile:
+    @staticmethod
+    def _kernel_calls(outcome: CaseOutcome) -> int:
+        assert outcome.ok, outcome.error
+        return outcome.profile["kernels"]["bitset.blocks_within"]["calls"]
+
+    def test_profile_holds_only_the_cells_own_kernel_calls(
+        self, monkeypatch, profiler_off
+    ):
+        monkeypatch.setenv(obs_profile.ENV_VAR, "1")
+        first = run_case("sba-model-check", dict(QUICK_CASE), timeout=60.0)
+        calls = self._kernel_calls(first)
+        assert calls > 0
+        # Kernel calls the parent made before forking are not the cell's.
+        obs_profile.enable()
+        for _ in range(500):
+            blocks_within([0b01, 0b10], -1, 0b01)
+        assert obs_profile.summary()["kernels"]["bitset.blocks_within"][
+            "calls"] == 500
+        second = run_case("sba-model-check", dict(QUICK_CASE), timeout=60.0)
+        assert self._kernel_calls(second) == calls
+
+    def test_profile_is_none_when_profiling_is_off(
+        self, monkeypatch, profiler_off
+    ):
+        monkeypatch.delenv(obs_profile.ENV_VAR, raising=False)
+        outcome = run_case("sba-model-check", dict(QUICK_CASE), timeout=60.0)
+        assert outcome.ok
+        assert outcome.profile is None
 
 
 class TestTableSpecs:

@@ -164,11 +164,11 @@ class TestRunTableWithStore:
         )
 
     @pytest.mark.parametrize("timeout", [60.0, None],
-                             ids=["forked", "in-process"])
+                             ids=["forked", "unbounded"])
     def test_cells_journal_their_own_session_metrics(self, tmp_path, timeout):
-        # With a budget each cell forks; without one it runs in-process.
-        # Either way its journalled snapshot is its own task session's: one
-        # result-cache miss, not the process's running total.
+        # With or without a budget each cell forks, and its journalled
+        # snapshot is its own task session's: one result-cache miss, not the
+        # process's running total.
         spec = table1_spec(**self.SPEC_KWARGS)
         store = ResultStore(tmp_path / "t1.jsonl")
         run_table(spec, timeout=timeout, store=store, verbose=False)
@@ -194,13 +194,13 @@ class TestRunTableWithStore:
         completed = set(store.outcomes)
 
         executed = []
-        real_run_case = tables_module.run_case
+        real_handle = tables_module.CaseHandle
 
-        def counting_run_case(task, params, **kwargs):
+        def counting_handle(task, params, **kwargs):
             executed.append(canonical_key(task, params))
-            return real_run_case(task, params, **kwargs)
+            return real_handle(task, params, **kwargs)
 
-        monkeypatch.setattr(tables_module, "run_case", counting_run_case)
+        monkeypatch.setattr(tables_module, "CaseHandle", counting_handle)
         resumed = run_table(
             full_spec,
             timeout=60.0,
