@@ -324,8 +324,8 @@ def test_concurrent_identical_cold_requests_coalesce_to_one_build():
 
 # ------------------------------------------------------------ pre-fork front
 
-#: Acceptance floor for ``repro serve --workers 4`` over one process on the
-#: all-cold diverse barrage (the issue asks for >= 2x).
+#: Acceptance floor for ``repro serve --workers 4`` over one worker on the
+#: all-cold diverse barrage.
 PREFORK_SPEEDUP_FLOOR = 2.0
 
 PREFORK_WORKERS = 2 if SMOKE else 4
@@ -445,9 +445,10 @@ def _drive_prefork(workers: int, mix: List[Tuple[str, dict]],
 
 def test_prefork_workers_beat_one_process_on_cold_traffic():
     """``--workers 4`` answers the all-cold barrage >= 2x faster than one
-    process.
+    worker.
 
-    Each server is a fresh subprocess with no store, so every query is a
+    Both servers are the same supervised front (``--workers 1`` is its
+    default), each a fresh subprocess with no store, so every query is a
     cold CPU-bound build; clients use one connection per request, so the
     kernel spreads the load across the workers at ``accept()``.  On hosts
     with fewer cores than workers the servers run under the simulated-GIL
@@ -470,7 +471,7 @@ def test_prefork_workers_beat_one_process_on_cold_traffic():
             existing = {"benchmark": "session facade benchmarks", "workloads": {}}
         existing.setdefault("workloads", {})["prefork_cold_diverse_traffic"] = {
             "workload": f"repro serve --workers {PREFORK_WORKERS} vs one "
-                        f"process: {len(mix)} distinct cold queries from "
+                        f"worker: {len(mix)} distinct cold queries from "
                         f"{clients} client threads",
             "mode": "real-compute" if _REAL_COMPUTE else "simulated-gil",
             "note": "real-compute when the host has at least as many cores "

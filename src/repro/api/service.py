@@ -17,13 +17,13 @@ Endpoints (all JSON):
   "synthesize", "scenario": {...}}, ...]}``; runs the whole batch on the
   shared session and returns the results in order.
 * ``GET /health`` — liveness probe (also reports the cache statistics).
-* ``GET /stats`` — the session's cumulative cache statistics; under
-  ``--workers N`` also every worker's labelled counters plus their
+* ``GET /stats`` — the session's cumulative cache statistics; on a front of
+  several workers also every worker's labelled counters plus their
   aggregate.
 * ``GET /metrics`` — Prometheus text exposition of the server's metrics
   (per-endpoint request counters and latency histograms, session cache
-  tiers, store events); under ``--workers N`` any worker answers for the
-  whole front with per-worker labelled series.
+  tiers, store events); on a front of several workers any worker answers
+  for the whole front with per-worker labelled series.
 
 Every successful response carries ``{"ok": true, "result": <typed result
 JSON>, "cache": <stats>}``; the result payloads are the versioned schema of
@@ -41,25 +41,26 @@ with unread body bytes still on the socket carries ``Connection: close``
 terminal for that connection: the broken pipe is swallowed, nothing further
 is written, and no traceback is logged.
 
-**Scaling out.**  The server is a ``ThreadingHTTPServer`` over one shared
+**Scaling out.**  A worker is a ``ThreadingHTTPServer`` over one shared
 session with per-cache-key build locks: concurrent *different* requests
 build their artefacts in parallel, while concurrent *identical* requests
 coalesce onto a single build (the ``coalesced`` counter in ``/stats``).
-Pure-Python builds are still GIL-bound inside one process, so ``repro serve
---workers N`` forks N worker processes that all ``accept()`` on one
-listening socket bound by the parent (kernel-level load balancing); the
-parent supervises — dead workers are restarted with backoff, SIGINT/SIGTERM
-fan out to every worker, and shutdown drains in-flight requests.  With
-``--store DIR`` the workers share one persistent
-:class:`~repro.api.artefact_store.ArtefactStore`, so one worker's cold
-build warms its siblings (and any later process) through the store tier.
+Pure-Python builds are still GIL-bound inside one process, so ``repro
+serve`` is a supervised pre-fork front: the parent binds one listening
+socket and forks ``--workers N`` (default 1) workers that all ``accept()``
+on it (kernel-level load balancing).  The parent only supervises — dead
+workers are restarted with backoff, SIGINT/SIGTERM fan out to every
+worker, and each worker drains its in-flight requests before it exits.
+With ``--store DIR`` the parent opens one persistent
+:class:`~repro.api.artefact_store.ArtefactStore` before it binds and the
+workers inherit it, so one worker's cold build warms its siblings (and any
+later process) through the store tier.
 
 **Warm starts.**  ``--preload SPEC`` (e.g. ``table1:max-n=4``) builds the
-space artefacts of a scenario frontier before serving: under ``--workers N``
-the parent builds once pre-fork and every worker inherits the artefacts
-copy-on-write; single-worker mode preloads on a background thread.  Until
-the build completes ``/health`` answers ``ready: false`` (queries are still
-served, just cold).
+space artefacts of a scenario frontier before serving: the parent builds
+once before forking and every worker inherits the artefacts copy-on-write.
+Until the build completes ``/health`` answers ``ready: false`` and every
+other request gets a 503.
 """
 
 from __future__ import annotations
@@ -117,18 +118,6 @@ PRELOAD_DELAY_ENV = "REPRO_SERVE_PRELOAD_DELAY"
 RESTART_BACKOFF_ENV = "REPRO_SERVE_RESTART_BACKOFF"
 DEFAULT_RESTART_BACKOFF = 1.0
 
-#: Accept backpressure for pre-fork workers: a worker stops pulling new
-#: connections while this many are already open, so the next connection
-#: stays in the shared listen backlog for an idle sibling to ``accept()``.
-#: Without it the kernel's LIFO ``accept()`` wake-up lets one worker hoard
-#: connections — its accept loop stays fast even while its handler threads
-#: queue behind the GIL.  Two keeps a build and a quick request (a hit, a
-#: ``/stats`` probe) concurrent without letting a backlog form.  Below it,
-#: a worker holding a connection lets an idle sibling accept first.
-WORKER_MAX_INFLIGHT = 2
-
-_STATS_DIR_NAME = "stats"
-
 #: Endpoints the per-endpoint HTTP metrics label by path; anything else is
 #: folded into "other" so scanners cannot inflate the label cardinality.
 _KNOWN_ENDPOINTS = frozenset(
@@ -159,6 +148,20 @@ def _parse_scenario(document: object) -> Scenario:
         return Scenario.from_json(scenario_doc)
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"invalid scenario: {exc}") from exc
+
+
+def _health(ready: bool, started_at: float) -> Dict[str, object]:
+    """The ``/health`` document.  ``ready`` is False only while the parent
+    preloads; the uptime tells a freshly restarted worker from a long-lived
+    one, and ``version`` a mixed-version front."""
+    return {
+        "status": "serving" if ready else "preloading",
+        "ready": ready,
+        "started_at": round(started_at, 3),
+        "uptime_seconds": round(time.time() - started_at, 3),
+        "version": __version__,
+        "schema_version": SCHEMA_VERSION,
+    }
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
@@ -304,22 +307,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self._begin_request()
         try:
             if self.path in ("/health", "/healthz"):
-                # ``ready`` flips once --preload finishes (always True
-                # without one); queries are answered either way — a
-                # not-ready worker just builds cold.
-                ready = getattr(self.server, "ready", True)
-                started_at = self.server.started_at
-                self._respond_ok({
-                    "status": "serving" if ready else "preloading",
-                    "ready": ready,
-                    # Restart forensics: a load balancer (or an operator)
-                    # tells a freshly restarted worker from a long-lived one
-                    # by its uptime, and a mixed-version front by `version`.
-                    "started_at": round(started_at, 3),
-                    "uptime_seconds": round(time.time() - started_at, 3),
-                    "version": __version__,
-                    "schema_version": SCHEMA_VERSION,
-                })
+                # A server answers only once any --preload has landed (the
+                # parent's gate answers before that), so it is always ready.
+                self._respond_ok(_health(True, self.server.started_at))
             elif self.path == "/stats":
                 self._respond_ok(self.server.stats_payload())
             elif self.path == "/metrics":
@@ -336,10 +326,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self._begin_request()
         try:
             with obs_trace.span(f"http.{_endpoint_label(self.path)}"):
-                if self.path == "/check":
-                    self._handle_check()
-                elif self.path == "/synthesize":
-                    self._handle_synthesize()
+                if self.path in ("/check", "/synthesize"):
+                    self._handle_query()
                 elif self.path == "/batch":
                     self._handle_batch()
                 else:
@@ -356,24 +344,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         finally:
             self._end_request()
 
-    def _handle_check(self) -> None:
+    def _handle_query(self) -> None:
         document = self._read_body()
         scenario = _parse_scenario(document)
-        temporal = bool(document.get("temporal", False))
+        if self.path == "/synthesize":
+            op = "synthesize"
+        else:
+            op = "temporal" if document.get("temporal", False) else "check"
         try:
-            if temporal:
-                result = self.session.check_temporal(scenario)
-            else:
-                result = self.session.check(scenario)
-        except ValueError as exc:
-            raise ServiceError(str(exc)) from exc
-        self._respond_ok({"result": result.to_json()})
-
-    def _handle_synthesize(self) -> None:
-        document = self._read_body()
-        scenario = _parse_scenario(document)
-        try:
-            result = self.session.synthesize(scenario)
+            result = self.session.query(op, scenario)
         except ValueError as exc:
             raise ServiceError(str(exc)) from exc
         self._respond_ok({"result": result.to_json()})
@@ -405,13 +384,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 class ReproServer(ThreadingHTTPServer):
     """A threading HTTP server with a shared :class:`Session`.
 
-    ``listening_socket`` adopts an already-bound socket instead of binding a
-    new one — the pre-fork front binds once in the parent and every forked
-    worker accepts on its inherited copy.  ``worker_label``/``stats_dir``
-    wire the worker into the aggregated ``/stats`` view: before each
-    response body goes out the worker publishes its counter snapshot to
-    ``stats_dir``, and any worker answering ``/stats`` reads all of its
-    siblings' snapshots back.  ``metrics`` is the server's own registry
+    It exists only once any ``--preload`` has landed, so it is always
+    ready.  ``listening_socket`` adopts an already-bound socket instead of
+    binding a new one — the pre-fork front binds once in the parent and
+    every forked worker accepts on its inherited copy.  On a front of
+    several workers ``worker_label``/``stats_dir`` wire each worker into
+    the aggregated ``/stats`` and ``/metrics`` views: before each response
+    body goes out the worker publishes its counter snapshot to the front's
+    records directory ``stats_dir``, and any worker answering reads all of
+    its siblings' snapshots back.  ``metrics`` is the server's own registry
     (HTTP series and cache gauges).
     """
 
@@ -425,10 +406,13 @@ class ReproServer(ThreadingHTTPServer):
         listening_socket: Optional[socket.socket] = None,
         worker_label: Optional[str] = None,
         stats_dir: Optional[str] = None,
-        max_inflight: Optional[int] = None,
-        ready_event: Optional[threading.Event] = None,
     ) -> None:
         super().__init__(address, ReproRequestHandler, bind_and_activate=False)
+        # A labelled worker on an adopted socket has siblings accepting on
+        # the same socket; see get_request.
+        self._has_siblings = (
+            listening_socket is not None and worker_label is not None
+        )
         if listening_socket is not None:
             self.socket.close()
             # A new connection wakes every worker selecting on this socket
@@ -447,7 +431,6 @@ class ReproServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.worker_label = worker_label
         self.stats_dir = stats_dir
-        self.max_inflight = max_inflight
         self.started_at = time.time()
         self.metrics = obs_metrics.MetricsRegistry()
         self._m_http = self.metrics.counter(
@@ -471,18 +454,10 @@ class ReproServer(ThreadingHTTPServer):
             "repro_session_cache_weight_bytes",
             "Estimated resident bytes of the session cache",
         )
-        #: Set once a background --preload completes; None = nothing to wait
-        #: for (the server was born ready).
-        self.ready_event = ready_event
         self._active_requests = 0  # guarded by: _active_lock
         self._active_connections = 0  # guarded by: _active_lock
         self._active_lock = threading.Lock()
         self._publish_lock = threading.Lock()
-
-    @property
-    def ready(self) -> bool:
-        """False only while a ``--preload`` build is still running."""
-        return self.ready_event is None or self.ready_event.is_set()
 
     def server_activate(self) -> None:
         # Adopted sockets are already listening; activating again is fine
@@ -490,23 +465,13 @@ class ReproServer(ThreadingHTTPServer):
         self.socket.listen(self.request_queue_size)
 
     def get_request(self):
-        # Accept backpressure (see WORKER_MAX_INFLIGHT): while this worker
-        # is saturated, leave the ready connection in the shared listen
-        # backlog for an idle sibling instead of accepting and queueing it
-        # behind our in-flight builds.  Saturation counts *connections*
-        # from accept to close — the accept loop re-enters this method
-        # before the handler thread has even begun the request, so a
-        # requests-begun counter would race and let extra connections in.
-        # The wait breaks immediately on shutdown so a saturated worker
-        # still drains promptly.  Below saturation, a worker holding a
-        # connection waits a tick so that an idle sibling wins accept().
-        if self.max_inflight is not None:
-            while (self.active_connections >= self.max_inflight
-                   and not getattr(self, "_BaseServer__shutdown_request",
-                                   False)):
-                time.sleep(0.005)
-            if self.active_connections:
-                time.sleep(0.005)
+        # A new connection wakes every sibling's select(); one already
+        # holding a connection waits a tick, so an idle sibling wins
+        # accept() and two keep-alive clients land on different workers.
+        # Nobody waits for a connection to close: an idle keep-alive client
+        # must never keep the next one out.
+        if self._has_siblings and self.active_connections:
+            time.sleep(0.005)
         request, client_address = super().get_request()
         request.setblocking(True)  # BSDs pass the listener's O_NONBLOCK on
         with self._active_lock:
@@ -563,8 +528,9 @@ class ReproServer(ThreadingHTTPServer):
     def metrics_exposition(self) -> str:
         """The Prometheus text body for ``GET /metrics``.
 
-        Single-process servers expose their own snapshot.  Pre-fork workers
-        publish their snapshot into the shared ``stats/`` directory on every
+        A server without a records directory (a lone worker, an in-process
+        server) exposes its own snapshot.  The workers of a larger front
+        publish their snapshots into the front's records directory on every
         request, so any worker can render the whole front: each sibling's
         series carries a ``worker`` label (summing over it gives the
         front-wide aggregate, the way any Prometheus setup aggregates
@@ -648,35 +614,16 @@ def make_server(
     listening_socket: Optional[socket.socket] = None,
     worker_label: Optional[str] = None,
     stats_dir: Optional[str] = None,
-    max_inflight: Optional[int] = None,
-    ready_event: Optional[threading.Event] = None,
 ) -> ReproServer:
     """Build (but do not start) a service instance; ``port=0`` picks a free port."""
     return ReproServer(
         (host, port), session=session, verbose=verbose,
         listening_socket=listening_socket, worker_label=worker_label,
-        stats_dir=stats_dir, max_inflight=max_inflight,
-        ready_event=ready_event,
+        stats_dir=stats_dir,
     )
 
 
-# --------------------------------------------------------------- serve fronts
-
-
-def _build_session(
-    cache_size: int,
-    store_dir: Optional[str],
-    store_max_bytes: Optional[int] = None,
-    store_max_entries: Optional[int] = None,
-    preloaded: Optional[Preloader] = None,
-) -> Session:
-    """The serving session, on the persistent tier when ``store_dir`` is set."""
-    store = None
-    if store_dir is not None:
-        store = ArtefactStore(
-            store_dir, max_bytes=store_max_bytes, max_entries=store_max_entries,
-        )
-    return Session(max_entries=cache_size, store=store, preloaded=preloaded)
+# ------------------------------------------------------------ the serve front
 
 
 def _run_preload(preloader: Preloader, cells) -> Dict[str, int]:
@@ -712,12 +659,7 @@ def _answer_while_preloading(
             if path in ("/health", "/healthz"):
                 status = b"200 OK"
                 body = json.dumps(
-                    {"ok": True, "status": "preloading", "ready": False,
-                     "started_at": round(started_at, 3),
-                     "uptime_seconds": round(time.time() - started_at, 3),
-                     "version": __version__,
-                     "schema_version": SCHEMA_VERSION}
-                ).encode()
+                    dict(_health(False, started_at), ok=True)).encode()
             else:
                 status = b"503 Service Unavailable"
                 body = json.dumps(
@@ -754,34 +696,9 @@ def _answer_while_preloading(
     return thread
 
 
-def _run_worker(
-    listening_socket: socket.socket,
-    label: str,
-    cache_size: int,
-    verbose: bool,
-    store_dir: Optional[str],
-    store_max_bytes: Optional[int],
-    store_max_entries: Optional[int],
-    stats_dir: str,
-    preloaded: Optional[Preloader] = None,
-) -> int:
-    """One forked worker: accept on the inherited socket until signalled.
-
-    ``preloaded`` is the parent's preloader, inherited copy-on-write across
-    the fork: the worker's session serves space lookups from it instead of
-    building them cold on the first queries.
-    """
-    server = make_server(
-        session=_build_session(
-            cache_size, store_dir, store_max_bytes, store_max_entries,
-            preloaded=preloaded,
-        ),
-        verbose=verbose,
-        listening_socket=listening_socket,
-        worker_label=label,
-        stats_dir=stats_dir,
-        max_inflight=WORKER_MAX_INFLIGHT,
-    )
+def _run_worker(server: ReproServer) -> int:
+    """One forked worker: serve on the inherited socket until signalled,
+    then drain the in-flight requests."""
 
     def _shut_down(signum, frame):  # noqa: ARG001 - signal handler shape
         # shutdown() blocks until serve_forever() exits, and *this* thread
@@ -814,75 +731,74 @@ def _restart_backoff() -> float:
     return max(value, 0.0)
 
 
-def _serve_prefork(
-    host: str,
-    port: int,
-    workers: int,
-    cache_size: int,
-    verbose: bool,
-    store_dir: Optional[str],
-    store_max_bytes: Optional[int],
-    store_max_entries: Optional[int],
-    preload_cells=None,
+def serve(
+    host: str = DEFAULT_HOST,
+    port: int = DEFAULT_PORT,
+    cache_size: int = 64,
+    verbose: bool = False,
+    store_dir: Optional[str] = None,
+    workers: int = 1,
+    store_max_bytes: Optional[int] = None,
+    store_max_entries: Optional[int] = None,
+    preload: Optional[str] = None,
+    log_format: str = "text",
+    log_level: str = "info",
 ) -> int:
-    """The pre-fork front: bind once, fork N accept-loop workers, supervise.
+    """Run the JSON service until interrupted (the ``repro serve`` command).
 
-    Every worker runs the full threaded server over its inherited copy of
-    the one listening socket, so the kernel load-balances connections at
-    ``accept()`` level.  The parent only supervises: a worker that dies is
+    The front binds the socket once here, then forks ``workers`` worker
+    processes that accept on it concurrently — the way to put every core
+    behind one port, since a single CPython process is GIL-bound on cold
+    builds no matter how its threads are arranged.  One worker is simply
+    ``workers=1``.  This process only supervises: a worker that dies is
     restarted (with exponential backoff per worker slot, so a crash loop
-    cannot spin), SIGINT/SIGTERM fan out to every worker, and workers that
-    ignore the fan-out are SIGKILLed after a grace period.
+    cannot spin), SIGINT/SIGTERM fan out to every worker, each worker
+    drains its in-flight requests, and workers that ignore the fan-out are
+    SIGKILLed after a grace period.  The workers of a front of several
+    publish their counters into a records directory of this front's own,
+    removed when it exits; a lone worker publishes nothing.
 
-    With ``preload_cells`` the parent builds the frontier's space artefacts
-    *before* forking — one build, inherited copy-on-write by every worker
-    (and every restarted worker, since the supervisor keeps the artefacts
-    alive) — while a minimal responder on the already-bound socket answers
-    ``/health`` with ``ready: false`` so probes see the truth during the
-    build.  A failed preload downgrades to cold serving rather than refusing
-    to start.
+    ``store_dir`` adds the persistent artefact-store tier: results built by
+    any worker are published there, and repeated queries — including ones
+    first answered by *another* process sharing the directory — are served
+    from it without rebuilding.  The store is opened here, before binding,
+    so a bad directory fails once instead of crash-looping every worker.
+    ``store_max_bytes``/``store_max_entries`` bound the store: the workers
+    compact it (oldest entries first, by mtime) as they write.
+
+    ``preload`` names a scenario frontier (e.g. ``table1`` or
+    ``table1:max-n=4``, see :func:`repro.runtime.preload.parse_frontier`):
+    the spaces those cells read are built once before forking, so every
+    worker shares the build copy-on-write.  Meanwhile a minimal responder
+    on the bound socket answers ``/health`` with ``ready: false`` and every
+    other request with a 503.  A failed preload downgrades to cold serving
+    rather than refusing to start.  Raises ``ValueError`` for a malformed
+    spec before binding the socket.
+
+    ``log_format``/``log_level`` configure the diagnostics stream (see
+    :func:`repro.obs.log.setup`): ``text`` (the default) is byte-compatible
+    with the historical ``print`` output, ``json`` emits one structured
+    record per line; ``--log-level debug`` additionally surfaces the
+    per-request trace spans.
     """
-    parent_started = time.time()
-    listening = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listening.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        listening.bind((host, port))
-    except OSError:
-        listening.close()
-        raise
-    listening.listen(128)
-    bound_host, bound_port = listening.getsockname()[:2]
-
+    obs_log.setup(log_format, log_level)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    preload_cells = parse_frontier(preload) if preload else None
+    store = None
     if store_dir is not None:
-        stats_root = Path(store_dir) / _STATS_DIR_NAME
-    else:
-        stats_root = Path(tempfile.mkdtemp(prefix="repro-serve-stats-"))
-    stats_root.mkdir(parents=True, exist_ok=True)
-
-    preloader: Optional[Preloader] = None
-    if preload_cells:
-        _LOG.info(
-            "repro serve: preloading %d frontier cells on http://%s:%s "
-            "(health reports ready: false until done)",
-            len(preload_cells), bound_host, bound_port,
+        store = ArtefactStore(
+            store_dir, max_bytes=store_max_bytes, max_entries=store_max_entries,
         )
-        preloader = Preloader()
-        gate_stop = threading.Event()
-        gate = _answer_while_preloading(listening, gate_stop, parent_started)
-        try:
-            summary = _run_preload(preloader, preload_cells)
-            _LOG.info(
-                "repro serve: preloaded %d spaces (%d states) for %d "
-                "frontier cells",
-                summary["spaces"], summary["states"], len(preload_cells),
-            )
-        except Exception as exc:
-            _LOG.warning("repro serve: preload failed (%s); serving cold", exc)
-            preloader = None
-        finally:
-            gate_stop.set()
-            gate.join()
-            listening.settimeout(None)  # the gate's accept timeout ends here
+    started_at = time.time()
+    listening = socket.create_server((host, port), backlog=128)
+    bound_host, bound_port = listening.getsockname()[:2]
+    preloader: Optional[Preloader] = None
+    records: Optional[tempfile.TemporaryDirectory] = None
+    stats_dir: Optional[str] = None  # the records directory of a larger front
+    children: Dict[int, int] = {}  # pid -> worker slot index
+    restarts: Dict[int, int] = {}  # worker slot index -> consecutive restarts
+    stopping = False
 
     def spawn(index: int) -> int:
         pid = os.fork()
@@ -894,21 +810,19 @@ def _serve_prefork(
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
             code = 1
             try:
-                code = _run_worker(
-                    listening, f"worker-{index}", cache_size, verbose,
-                    store_dir, store_max_bytes, store_max_entries,
-                    str(stats_root), preloaded=preloader,
-                )
+                code = _run_worker(make_server(
+                    session=Session(max_entries=cache_size, store=store,
+                                    preloaded=preloader),
+                    verbose=verbose,
+                    listening_socket=listening,
+                    worker_label=f"worker-{index}" if stats_dir else None,
+                    stats_dir=stats_dir,
+                ))
             except KeyboardInterrupt:  # pragma: no cover - pre-handler race
                 code = 0
             finally:
                 os._exit(code)
         return pid
-
-    children: Dict[int, int] = {}  # pid -> worker slot index
-    restarts: Dict[int, int] = {}  # worker slot index -> consecutive restarts
-    stopping = False
-    backoff_base = _restart_backoff()
 
     def _fan_out(signum, frame):  # noqa: ARG001 - signal handler shape
         nonlocal stopping
@@ -928,143 +842,82 @@ def _serve_prefork(
             except ProcessLookupError:
                 pass
 
-    signal.signal(signal.SIGTERM, _fan_out)
-    signal.signal(signal.SIGINT, _fan_out)
-    signal.signal(signal.SIGALRM, _escalate)
-
-    for index in range(workers):
-        children[spawn(index)] = index
-
-    store_note = f"; store {store_dir}" if store_dir is not None else ""
-    _LOG.info(
-        "repro serve: listening on http://%s:%s (%d workers, cache %d "
-        "entries per worker%s; endpoints: /check /synthesize /batch /health "
-        "/stats /metrics)",
-        bound_host, bound_port, workers, cache_size, store_note,
-    )
-
-    while children:
-        try:
-            pid, status = os.waitpid(-1, 0)
-        except ChildProcessError:  # pragma: no cover - all children reaped
-            break
-        except InterruptedError:  # pragma: no cover - pre-3.5 semantics
-            continue
-        index = children.pop(pid, None)
-        if index is None or stopping:
-            continue
-        exit_code = os.waitstatus_to_exitcode(status)
-        restarts[index] = restarts.get(index, 0) + 1
-        delay = min(backoff_base * (2 ** (restarts[index] - 1)), 30.0)
-        _LOG.warning(
-            "repro serve: worker-%d (pid %d) exited unexpectedly (%s); "
-            "restarting in %.1fs", index, pid, exit_code, delay,
-        )
-        if delay:
-            time.sleep(delay)
-        if stopping:  # the fan-out signal may land during the backoff sleep
-            continue
-        children[spawn(index)] = index
-
-    signal.alarm(0)
-    listening.close()
-    _LOG.info("repro serve: shut down")
-    return 0
-
-
-def serve(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    cache_size: int = 64,
-    verbose: bool = False,
-    store_dir: Optional[str] = None,
-    workers: int = 1,
-    store_max_bytes: Optional[int] = None,
-    store_max_entries: Optional[int] = None,
-    preload: Optional[str] = None,
-    log_format: str = "text",
-    log_level: str = "info",
-) -> int:
-    """Run the JSON service until interrupted (the ``repro serve`` command).
-
-    ``store_dir`` adds the persistent artefact-store tier: results built by
-    this process are published there, and repeated queries — including ones
-    first answered by *another* process sharing the directory — are served
-    from it without rebuilding.  ``store_max_bytes``/``store_max_entries`` bound the store: the session
-    compacts it (oldest entries first, by mtime) as it writes.
-
-    ``workers > 1`` runs the pre-fork front: the socket is bound once here,
-    then N forked workers accept on it concurrently — the way to put every
-    core behind one port, since a single CPython process is GIL-bound on
-    cold builds no matter how its threads are arranged.
-
-    ``preload`` names a scenario frontier (e.g. ``table1`` or
-    ``table1:max-n=4``, see :func:`repro.runtime.preload.parse_frontier`):
-    the spaces those cells read are built once up front — before forking,
-    under ``--workers N``, so all workers share the build copy-on-write —
-    and ``/health`` reports ``ready: false`` until the build completes.
-    Raises ``ValueError`` for a malformed spec before binding the socket.
-
-    ``log_format``/``log_level`` configure the diagnostics stream (see
-    :func:`repro.obs.log.setup`): ``text`` (the default) is byte-compatible
-    with the historical ``print`` output, ``json`` emits one structured
-    record per line; ``--log-level debug`` additionally surfaces the
-    per-request trace spans.
-    """
-    obs_log.setup(log_format, log_level)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    preload_cells = parse_frontier(preload) if preload else None
-    if workers > 1:
-        if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
-            raise ValueError("--workers requires a platform with os.fork")
-        return _serve_prefork(
-            host, port, workers, cache_size, verbose, store_dir,
-            store_max_bytes, store_max_entries, preload_cells=preload_cells,
-        )
-    preloader = Preloader() if preload_cells else None
-    ready_event = threading.Event() if preload_cells else None
-    server = make_server(
-        host, port,
-        session=_build_session(
-            cache_size, store_dir, store_max_bytes, store_max_entries,
-            preloaded=preloader,
-        ),
-        verbose=verbose,
-        ready_event=ready_event,
-    )
-    bound_host, bound_port = server.server_address[:2]
-    store_note = f"; store {store_dir}" if store_dir is not None else ""
-    preload_note = f"; preloading {preload}" if preload else ""
-    _LOG.info(
-        "repro serve: listening on http://%s:%s (cache %d entries%s%s; "
-        "endpoints: /check /synthesize /batch /health /stats /metrics)",
-        bound_host, bound_port, cache_size, store_note, preload_note,
-    )
-    if preload_cells:
-        # Background preload: the server answers immediately (cold queries
-        # build as usual), /health flips to ready once the build lands.
-        # Races with concurrent cold queries are benign — the preloader
-        # publishes each space only after its build completes.
-        def _preload_in_background() -> None:
+    try:
+        if preload_cells:
+            _LOG.info(
+                "repro serve: preloading %d frontier cells on http://%s:%s "
+                "(health reports ready: false until done)",
+                len(preload_cells), bound_host, bound_port,
+            )
+            preloader = Preloader()
+            gate_stop = threading.Event()
+            gate = _answer_while_preloading(listening, gate_stop, started_at)
             try:
                 summary = _run_preload(preloader, preload_cells)
-                _LOG.info("repro serve: preloaded %d spaces (%d states)",
-                          summary["spaces"], summary["states"])
+                _LOG.info(
+                    "repro serve: preloaded %d spaces (%d states) for %d "
+                    "frontier cells",
+                    summary["spaces"], summary["states"], len(preload_cells),
+                )
+            except KeyboardInterrupt:  # interrupted before any worker forked
+                return 0
             except Exception as exc:
-                _LOG.warning("repro serve: preload failed (%s); serving cold",
-                             exc)
+                _LOG.warning("repro serve: preload failed (%s); serving cold", exc)
+                preloader = None
             finally:
-                ready_event.set()
+                gate_stop.set()
+                gate.join()
+                listening.settimeout(None)  # the gate's accept timeout ends here
 
-        threading.Thread(
-            target=_preload_in_background, daemon=True, name="preload"
-        ).start()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        signal.signal(signal.SIGTERM, _fan_out)
+        signal.signal(signal.SIGINT, _fan_out)
+        signal.signal(signal.SIGALRM, _escalate)
+        if workers > 1:
+            # This front's own, so no other front (and no earlier one on the
+            # same store) can show up in its /stats.
+            records = tempfile.TemporaryDirectory(prefix="repro-serve-stats-")
+            stats_dir = records.name
+        for index in range(workers):
+            if stopping:
+                break
+            children[spawn(index)] = index
+
+        store_note = f"; store {store_dir}" if store_dir is not None else ""
+        _LOG.info(
+            "repro serve: listening on http://%s:%s (%d worker%s, cache %d "
+            "entries per worker%s; endpoints: /check /synthesize /batch "
+            "/health /stats /metrics)",
+            bound_host, bound_port, workers, "s" if workers > 1 else "",
+            cache_size, store_note,
+        )
+
+        backoff_base = _restart_backoff()
+        while children:
+            try:
+                pid, status = os.waitpid(-1, 0)
+            except ChildProcessError:  # pragma: no cover - all children reaped
+                break
+            except InterruptedError:  # pragma: no cover - pre-3.5 semantics
+                continue
+            index = children.pop(pid, None)
+            if index is None or stopping:
+                continue
+            exit_code = os.waitstatus_to_exitcode(status)
+            restarts[index] = restarts.get(index, 0) + 1
+            delay = min(backoff_base * (2 ** (restarts[index] - 1)), 30.0)
+            _LOG.warning(
+                "repro serve: worker-%d (pid %d) exited unexpectedly (%s); "
+                "restarting in %.1fs", index, pid, exit_code, delay,
+            )
+            if delay:
+                time.sleep(delay)
+            if stopping:  # the fan-out signal may land during the backoff sleep
+                continue
+            children[spawn(index)] = index
     finally:
-        server.server_close()
-    _LOG.info("repro serve: shut down")
+        signal.alarm(0)
+        listening.close()
+        if records is not None:
+            records.cleanup()
+        _LOG.info("repro serve: shut down")
     return 0

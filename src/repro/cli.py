@@ -464,11 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "(compacted like --store-max-bytes)")
     srv.add_argument("--preload", metavar="SPEC", default=None,
                      help="build the state spaces of a scenario frontier "
-                          "before serving, e.g. 'table1' or "
-                          "'table1:max-n=4'; under --workers "
-                          "the build happens once pre-fork and every worker "
-                          "shares it copy-on-write, and /health reports "
-                          "ready: false until it completes")
+                          "once, before the workers fork, e.g. 'table1' or "
+                          "'table1:max-n=4'; every worker shares the build "
+                          "copy-on-write, and until it completes /health "
+                          "reports ready: false and queries get a 503")
     srv.add_argument("--log-format", choices=("text", "json"), default="text",
                      help="diagnostic log rendering: plain text (the "
                           "default, byte-compatible with earlier releases) "

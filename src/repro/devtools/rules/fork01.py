@@ -8,7 +8,7 @@ Two sub-checks, both born from the serving front in ``api/service.py``:
    happen.  Within a function we therefore require that every thread
    started (directly, or by calling a local helper that leaves a thread
    running) is ``join()``-ed before any statement that can reach
-   ``os.fork()``.  The pre-fork gate in ``_serve_prefork`` — start the
+   ``os.fork()``.  The pre-fork gate in ``serve`` — start the
    answering thread, ``join()`` it, only then fork workers — is the
    blessed shape.
 

@@ -21,7 +21,8 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Optional
+from multiprocessing.connection import wait
+from typing import Dict, List, Optional
 
 from repro.harness.tasks import TASKS, run_task
 from repro.obs import profile as obs_profile
@@ -175,9 +176,12 @@ class CaseHandle:
         child_pipe.close()
 
     @property
-    def sentinel(self) -> int:
-        """Waitable fd that becomes ready when the child exits."""
-        return self._process.sentinel
+    def waitables(self) -> List[object]:
+        """What :func:`multiprocessing.connection.wait` takes for this case:
+        the result pipe, readable as soon as the child starts sending its
+        outcome (one larger than the pipe buffer only finishes sending once
+        the parent reads), and the child's exit sentinel."""
+        return [self._pipe, self._process.sentinel]
 
     @property
     def deadline(self) -> Optional[float]:
@@ -191,45 +195,52 @@ class CaseHandle:
         return (time.perf_counter() if now is None else now) >= self.deadline
 
     def join(self, timeout: Optional[float] = None) -> None:
-        """Wait (up to ``timeout`` seconds) for the child to exit."""
-        self._process.join(timeout)
+        """Wait (up to ``timeout`` seconds) until the child has started
+        sending its outcome or has exited."""
+        wait(self.waitables, timeout)
+
+    def _finished(self) -> bool:
+        """Whether the child has started sending its outcome or has exited."""
+        return bool(wait(self.waitables, 0))
 
     def poll(self) -> Optional[CaseOutcome]:
-        """Harvest if the child has finished or busted its budget, else None."""
-        if self._outcome is not None:
-            return self._outcome
-        if self._process.is_alive() and not self.expired():
-            return None
-        return self.harvest()
+        """Harvest if the child has sent, exited or busted its budget, else None."""
+        if self._outcome is None and (self._finished() or self.expired()):
+            self.harvest()
+        return self._outcome
 
     def harvest(self) -> CaseOutcome:
-        """Reap the child and build the outcome, releasing all OS resources.
+        """Receive the outcome, reap the child and release all OS resources.
 
-        If the child is still alive (budget exceeded), it is sent SIGTERM,
-        given :attr:`term_grace` seconds, then SIGKILLed — a child stuck in a
-        single long C-level operation never services SIGTERM, and an
-        unbounded join would hang the whole table.  Idempotent: the outcome
-        is cached and resources are released only once.
+        The outcome is read first, and a child that has sent it (or has
+        exited) is joined, never reported ``TO``.  A child that is still
+        running with nothing sent busted its budget: it is sent SIGTERM.
+        Either way a child gets :attr:`term_grace` seconds before SIGKILL —
+        one stuck in a single long C-level operation never services
+        SIGTERM, and an unbounded join would hang the whole table.
+        Idempotent: the outcome is cached and resources are released only
+        once.
         """
         if self._outcome is not None:
             return self._outcome
-        timed_out = self._process.is_alive()
-        if timed_out:
-            self._process.terminate()
-            self._process.join(self.term_grace)
-            if self._process.is_alive():
-                self._process.kill()
-                self._process.join()
-
+        # Both waitables count: an exiting child's descriptors close one by
+        # one, so its sentinel can be ready before the EOF on its pipe is.
+        finished = self._finished()
         outcome: Optional[CaseOutcome] = None
         try:
             if self._pipe.poll():
                 outcome = self._pipe.recv()
-        except (EOFError, OSError):  # pragma: no cover - torn-down pipe
+        except (EOFError, OSError):  # exited without sending
             pass
         finally:
             self._pipe.close()
-        self._process.join()
+        timed_out = outcome is None and not finished
+        if timed_out:
+            self._process.terminate()
+        self._process.join(self.term_grace)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join()
         self._process.close()
 
         if timed_out:

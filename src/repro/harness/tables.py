@@ -19,7 +19,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_sentinels
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Scenario, TableCell
@@ -307,8 +307,9 @@ def run_table(
         pending = shared.schedule
 
     # Worker-pool scheduler: keep up to ``workers`` forked children in
-    # flight; wake on child exit (their sentinels) or the earliest deadline,
-    # harvest whatever finished or busted its budget, then refill.
+    # flight; wake on a child's outcome or exit (its waitables) or the
+    # earliest deadline, harvest whatever finished or busted its budget,
+    # then refill.
     in_flight: Dict[Tuple[Tuple, str], CaseHandle] = {}
     next_cell = 0
     while next_cell < len(pending) or in_flight:
@@ -331,8 +332,10 @@ def run_table(
             if handle.deadline is not None
         ]
         wait_for = max(0.0, min(deadlines)) if deadlines else None
-        _wait_sentinels(
-            [handle.sentinel for handle in in_flight.values()], timeout=wait_for
+        wait(
+            [waitable for handle in in_flight.values()
+             for waitable in handle.waitables],
+            timeout=wait_for,
         )
         for key in list(in_flight):
             outcome = in_flight[key].poll()

@@ -1,12 +1,13 @@
-"""End-to-end test of the pre-fork front: ``repro serve --workers N``.
+"""End-to-end tests of the pre-fork front: ``repro serve --workers N``.
 
 The front runs as a real subprocess (the exact shape the CI service-smoke
-job drives): the parent binds the socket and forks two workers that share
+job drives): the parent binds the socket and forks the workers, which share
 one ``--store`` directory.  One test walks the whole lifecycle — serve
 from both workers, aggregate their ``/stats``, survive a SIGKILLed worker
 through supervised restart, and shut down cleanly on SIGINT — because the
 subprocess start-up (fork + cold builds) is the expensive part and every
-stage builds on the previous one's state.
+stage builds on the previous one's state.  The rest pin one property of
+the front each, on one worker (the default) or several.
 """
 
 import http.client
@@ -20,7 +21,10 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
+
+import pytest
 
 import repro
 from repro.api.service import make_server
@@ -34,6 +38,24 @@ SCENARIOS = [
 ]
 
 _BANNER = re.compile(r"http://[\d.]+:(\d+)")
+
+#: ``python -c`` bootstrap that makes every cold result build take one
+#: second longer, then runs the ``repro`` command line given after it.
+_SLOW_RESULT_BUILDS = """
+import sys, time
+from repro.api.session import Session
+from repro.cli import main
+
+invoke_build = Session._invoke_build
+
+def _invoke_build(self, key, build):
+    if key[0] == "result":
+        time.sleep(1.0)
+    return invoke_build(self, key, build)
+
+Session._invoke_build = _invoke_build
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _env():
@@ -55,6 +77,35 @@ def _post(url, payload, timeout=120):
 def _get(url, timeout=30):
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.status, json.loads(response.read())
+
+
+def _start_front(*args, env=None, bootstrap=None):
+    """A ``repro serve --port 0 --quiet`` subprocess and its base URL;
+    ``bootstrap`` runs the command line through that ``python -c`` program."""
+    launcher = ([sys.executable, "-c", bootstrap] if bootstrap
+                else [sys.executable, "-m", "repro"])
+    process = subprocess.Popen(
+        launcher + ["serve", "--port", "0", "--quiet", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env or _env(),
+    )
+    banner = process.stdout.readline()
+    match = _BANNER.search(banner)
+    if not match:
+        _stop(process)
+        raise AssertionError(f"no serve banner (got {banner!r})")
+    return process, f"http://127.0.0.1:{match.group(1)}"
+
+
+def _stop(process):
+    """SIGINT the front and wait for it to exit (killing it after 30 s)."""
+    if process.poll() is None:
+        process.send_signal(signal.SIGINT)
+    try:
+        process.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.communicate(timeout=30)
 
 
 def _barrage(url, rounds=2):
@@ -203,12 +254,13 @@ def test_worker_that_loses_the_accept_race_returns_to_its_loop():
 
 
 def test_an_idle_worker_takes_the_next_connection():
-    # Two servers adopt one listening socket with the pre-fork accept
-    # backpressure: while one holds a keep-alive connection, the next goes
-    # to the idle one, so two keep-alive clients land on different workers.
+    # Two labelled servers adopt one listening socket, as the forked workers
+    # do: while one holds a keep-alive connection it waits a tick before
+    # accept(), so the next connection goes to the idle one and two
+    # keep-alive clients land on different workers.
     listening = socket.create_server(("127.0.0.1", 0))
     servers = [make_server(listening_socket=listening.dup(),
-                           worker_label=f"worker-{k}", max_inflight=2)
+                           worker_label=f"worker-{k}")
                for k in (0, 1)]
     threads = [threading.Thread(target=server.serve_forever,
                                 kwargs={"poll_interval": 0.05}, daemon=True)
@@ -239,12 +291,13 @@ def test_an_idle_worker_takes_the_next_connection():
         listening.close()
 
 
-def test_prefork_preload_gates_health_until_ready(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prefork_preload_gates_health_until_ready(tmp_path, workers):
     env = _env()
     env["REPRO_SERVE_PRELOAD_DELAY"] = "2.0"  # hold the gate open for polling
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--preload", "table1:max-n=3",
+         "--workers", str(workers), "--preload", "table1:max-n=3",
          "--store", str(tmp_path / "store"), "--quiet"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
@@ -261,6 +314,11 @@ def test_prefork_preload_gates_health_until_ready(tmp_path):
         assert body["ok"] is True
         assert body["ready"] is False
         assert body["status"] == "preloading"
+
+        # --- ... and queries wait for the workers: a 503 from the gate ----
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            _post(url + "/check", {"scenario": SCENARIOS[0]})
+        assert refused.value.code == 503
 
         # --- readiness flips once the preload completes -------------------
         deadline = time.time() + 120
@@ -283,8 +341,9 @@ def test_prefork_preload_gates_health_until_ready(tmp_path):
                           "max_faulty": 1}})
         assert status == 200 and answer["ok"] is True
         assert answer["cache"]["preloaded"] >= 2
-        _, stats = _get(url + "/stats")
-        assert stats["aggregate"]["preloaded"] >= 2
+        if workers > 1:
+            _, stats = _get(url + "/stats")
+            assert stats["aggregate"]["preloaded"] >= 2
     finally:
         process.send_signal(signal.SIGTERM)
         try:
@@ -292,3 +351,89 @@ def test_prefork_preload_gates_health_until_ready(tmp_path):
         except subprocess.TimeoutExpired:
             process.kill()
             process.communicate(timeout=30)
+
+
+def test_idle_keep_alive_clients_never_keep_the_next_one_out():
+    process, url = _start_front("--workers", "2")
+    port = int(url.rsplit(":", 1)[1])
+    connections = []
+    try:
+        # Each connection stays open and idle while the next one is made.
+        for _ in range(5):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            connections.append(connection)
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["ready"] is True
+    finally:
+        for connection in connections:
+            connection.close()
+        _stop(process)
+
+
+def test_a_front_lists_only_its_own_workers(tmp_path):
+    store = str(tmp_path / "store")
+    for workers in (3, 2):
+        process, url = _start_front("--workers", str(workers), "--store", store)
+        try:
+            # Every worker publishes its record once it is up.
+            expected = {f"worker-{index}" for index in range(workers)}
+            deadline = time.time() + 30
+            while time.time() < deadline:
+                _, stats = _get(url + "/stats")
+                if expected <= set(stats["workers"]):
+                    break
+                time.sleep(0.1)
+        finally:
+            _stop(process)
+    # The second front on the same store sees none of the first's records.
+    assert set(stats["workers"]) == {"worker-0", "worker-1"}
+    assert stats["aggregate"]["workers"] == 2
+
+
+def test_sigint_drains_the_request_in_flight_on_the_default_front():
+    process, url = _start_front(bootstrap=_SLOW_RESULT_BUILDS)
+    answers, errors = [], []
+
+    def client():
+        try:
+            answers.append(_post(url + "/check", {"scenario": SCENARIOS[0]}))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    request = threading.Thread(target=client)
+    request.start()
+    time.sleep(0.3)  # the one worker is inside the cold build
+    _stop(process)
+    request.join(timeout=30)
+    assert not errors, errors
+    assert answers and answers[0][0] == 200 and answers[0][1]["ok"] is True
+    assert process.returncode == 0
+
+
+def test_a_front_removes_its_records_directory_on_exit(tmp_path):
+    env = _env()
+    env["TMPDIR"] = str(tmp_path)
+    process, url = _start_front("--workers", "2", env=env)
+    try:
+        assert _get(url + "/health")[0] == 200
+        assert list(tmp_path.glob("repro-serve-stats-*"))
+    finally:
+        _stop(process)
+    assert process.returncode == 0
+    assert not list(tmp_path.glob("repro-serve-stats-*"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_store_that_cannot_be_opened_stops_the_front(tmp_path, workers):
+    # Opened once by the parent: the front exits instead of restarting
+    # workers that could never open it.
+    (tmp_path / "a-file").write_text("")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet",
+         "--workers", str(workers), "--store",
+         str(tmp_path / "a-file" / "store")],
+        capture_output=True, text=True, env=_env(), timeout=10,
+    )
+    assert result.returncode != 0

@@ -546,51 +546,6 @@ class TestConcurrency:
             server.server_close()
             thread.join(timeout=5)
 
-    def test_max_inflight_defers_accept_while_saturated(self):
-        # The pre-fork worker's accept backpressure: with max_inflight=1 a
-        # second connection stays in the listen backlog (where an idle
-        # sibling worker would take it) until the first request finishes,
-        # so two concurrent cold builds serialise instead of overlapping.
-        import time
-
-        from repro.api import Session
-
-        delay = 0.4
-
-        class SlowSession(Session):
-            def _invoke_build(self, key, build):
-                if key[0] == "result":
-                    time.sleep(delay)
-                return super()._invoke_build(key, build)
-
-        server = make_server(port=0, session=SlowSession(), max_inflight=1)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            scenarios = [dict(SCENARIO, num_agents=agents) for agents in (2, 3)]
-            responses = []
-            workers = [
-                threading.Thread(target=lambda s=s: responses.append(
-                    _post(url + "/check", {"scenario": s})))
-                for s in scenarios
-            ]
-            start = time.perf_counter()
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=120)
-            elapsed = time.perf_counter() - start
-            assert len(responses) == 2
-            assert all(status == 200 for status, _ in responses)
-            # Without the gate these overlap (~delay, see the coalesce test
-            # above); the gate makes them back-to-back.
-            assert elapsed >= 2 * delay
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
     def test_concurrent_repeated_queries_all_answer_from_one_session(self, server_url):
         results = []
         errors = []
@@ -616,32 +571,6 @@ class TestConcurrency:
 
 
 class TestReadinessGating:
-    def test_health_gates_on_the_ready_event(self):
-        ready = threading.Event()
-        server = make_server(port=0, ready_event=ready)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            status, body = _get(url + "/health")
-            assert status == 200
-            assert body["ok"] is True
-            assert body["ready"] is False
-            assert body["status"] == "preloading"
-
-            # Queries are still answered cold while the preload runs.
-            status, answer = _post(url + "/check", {"scenario": SCENARIO})
-            assert status == 200 and answer["ok"] is True
-
-            ready.set()
-            status, body = _get(url + "/health")
-            assert body["ready"] is True
-            assert body["status"] == "serving"
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
     def test_health_without_gating_is_ready_immediately(self):
         server = make_server(port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -655,54 +584,3 @@ class TestReadinessGating:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-
-    def test_single_worker_serve_preloads_in_the_background(self, tmp_path):
-        import os
-        import re
-        import signal as signal_module
-        import subprocess
-        import sys
-        import time
-
-        import repro
-
-        src_dir = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + existing if existing else "")
-        env["REPRO_SERVE_PRELOAD_DELAY"] = "1.0"
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--preload", "table1:max-n=3", "--quiet"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env)
-        try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://[\d.]+:(\d+)", banner)
-            assert match, f"no serve banner (got {banner!r})"
-            url = f"http://127.0.0.1:{match.group(1)}"
-
-            status, body = _get(url + "/health")
-            assert status == 200 and body["ready"] is False
-
-            deadline = time.time() + 120
-            while time.time() < deadline:
-                _, body = _get(url + "/health")
-                if body.get("ready"):
-                    break
-                time.sleep(0.2)
-            assert body["ready"] is True and body["status"] == "serving"
-
-            status, answer = _post(url + "/check", {"scenario": SCENARIO})
-            assert status == 200 and answer["ok"] is True
-            _, stats = _get(url + "/stats")
-            assert stats["cache"]["preloaded"] >= 2
-        finally:
-            process.send_signal(signal_module.SIGTERM)
-            try:
-                process.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.communicate(timeout=30)

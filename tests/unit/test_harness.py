@@ -193,6 +193,29 @@ class TestRunnerResourceHandling:
         assert outcome.cell() == "ERR"
         assert multiprocessing.active_children() == []
 
+    def test_outcome_larger_than_the_pipe_buffer_comes_back(self, monkeypatch):
+        # The child blocks in send() until the parent reads, so a parent
+        # that waited for the child to exit first would report it TO.
+        text = "x" * 70_000
+
+        def _large(engine: str = "bitset") -> dict:
+            return {"text": text}
+
+        monkeypatch.setitem(TASKS, "large-outcome", _large)
+        spec = TableSpec(name="large", title="Large outcome", row_header=("i",),
+                         rows=[((0,), [("large", "large-outcome", {})])])
+        for run in (
+            lambda: run_case("large-outcome", {}, timeout=3.0),
+            lambda: run_table(spec, timeout=3.0, max_states=None, workers=1,
+                              share_spaces=False).outcomes[((0,), "large")],
+        ):
+            start = time.monotonic()
+            outcome = run()
+            assert outcome.ok, outcome
+            assert outcome.result == {"text": text}
+            assert time.monotonic() - start < 2.0
+        assert multiprocessing.active_children() == []
+
 
 class TestBudgetValidation:
     @pytest.mark.parametrize("timeout", [0, -5.0])
