@@ -51,10 +51,10 @@ socket and forks ``--workers N`` (default 1) workers that all ``accept()``
 on it (kernel-level load balancing).  The parent only supervises — dead
 workers are restarted with backoff, SIGINT/SIGTERM fan out to every
 worker, and each worker drains its in-flight requests before it exits.
-With ``--store DIR`` the parent opens one persistent
-:class:`~repro.api.artefact_store.ArtefactStore` before it binds and the
-workers inherit it, so one worker's cold build warms its siblings (and any
-later process) through the store tier.
+With ``--store DIR`` every worker opens the persistent
+:class:`~repro.api.artefact_store.ArtefactStore` in that directory (the
+parent opens it once before it binds, to fail fast), so one worker's cold
+build warms its siblings (and any later process) through the store tier.
 
 **Warm starts.**  ``--preload SPEC`` (e.g. ``table1:max-n=4``) builds the
 space artefacts of a scenario frontier before serving: the parent builds
@@ -763,8 +763,10 @@ def serve(
     first answered by *another* process sharing the directory — are served
     from it without rebuilding.  The store is opened here, before binding,
     so a bad directory fails once instead of crash-looping every worker.
-    ``store_max_bytes``/``store_max_entries`` bound the store: the workers
-    compact it (oldest entries first, by mtime) as they write.
+    ``store_max_bytes``/``store_max_entries`` bound the store: each worker
+    opens its own bounded store, which compacts it (oldest entries first,
+    by mtime) when it opens and as the worker writes, and counts only its
+    own compactions.
 
     ``preload`` names a scenario frontier (e.g. ``table1`` or
     ``table1:max-n=4``, see :func:`repro.runtime.preload.parse_frontier`):
@@ -785,13 +787,18 @@ def serve(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     preload_cells = parse_frontier(preload) if preload else None
-    store = None
+    for bound in (store_max_bytes, store_max_entries):
+        if bound is not None and bound < 1:
+            raise ValueError(f"store bounds must be >= 1, got {bound}")
     if store_dir is not None:
-        store = ArtefactStore(
-            store_dir, max_bytes=store_max_bytes, max_entries=store_max_entries,
-        )
+        # Unbounded, so this runs no compaction pass for the workers to
+        # inherit: each one's bounded store runs and counts its own.
+        ArtefactStore(store_dir)
     started_at = time.time()
     listening = socket.create_server((host, port), backlog=128)
+    # Until the fan-out handlers replace it, SIGTERM stops the front the
+    # way SIGINT does: by KeyboardInterrupt.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     bound_host, bound_port = listening.getsockname()[:2]
     preloader: Optional[Preloader] = None
     records: Optional[tempfile.TemporaryDirectory] = None
@@ -810,6 +817,10 @@ def serve(
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
             code = 1
             try:
+                store = None
+                if store_dir is not None:
+                    store = ArtefactStore(store_dir, max_bytes=store_max_bytes,
+                                          max_entries=store_max_entries)
                 code = _run_worker(make_server(
                     session=Session(max_entries=cache_size, store=store,
                                     preloaded=preloader),
@@ -877,11 +888,8 @@ def serve(
             # same store) can show up in its /stats.
             records = tempfile.TemporaryDirectory(prefix="repro-serve-stats-")
             stats_dir = records.name
-        for index in range(workers):
-            if stopping:
-                break
-            children[spawn(index)] = index
-
+        # Logged before the workers fork, so their own lines (a bounded
+        # store's startup compaction) come after it.
         store_note = f"; store {store_dir}" if store_dir is not None else ""
         _LOG.info(
             "repro serve: listening on http://%s:%s (%d worker%s, cache %d "
@@ -890,6 +898,10 @@ def serve(
             bound_host, bound_port, workers, "s" if workers > 1 else "",
             cache_size, store_note,
         )
+        for index in range(workers):
+            if stopping:
+                break
+            children[spawn(index)] = index
 
         backoff_base = _restart_backoff()
         while children:

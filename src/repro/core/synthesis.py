@@ -25,7 +25,7 @@ Two programs from the paper are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bitset import blocks_within
 from repro.core.checker import ModelChecker
@@ -221,6 +221,24 @@ def _decide_zero_conditions_at_level(
     return conditions
 
 
+def _decide_one_conditions(space: LevelledSpace) -> Dict[int, List[int]]:
+    """Satisfaction of ``K_i ¬EF(some agent decides 0 now)`` per agent.
+
+    The decide-1 guard of ``P0``.  It reads the future of the space, so,
+    unlike the two per-level evaluators, it is evaluated on a completed
+    space, all levels at once: entry ``[agent][level]`` is a packed bitmask
+    (bit ``j`` = state ``j`` of the level).
+    """
+    model = space.model
+    checker = ModelChecker(space)
+    someone_decides_zero = big_or(decides_now(agent, 0) for agent in model.agents())
+    future_zero = EvEventually(someone_decides_zero)
+    return {
+        agent: checker.check_bits(Knows(agent, neg(future_zero)))
+        for agent in model.agents()
+    }
+
+
 def _eba_pass(
     model: BAModel,
     horizon: Optional[int],
@@ -258,20 +276,13 @@ def _eba_pass(
 
         space.advance(building_rule)
 
-    # Evaluate the decide-1 condition on the completed space.
-    checker = ModelChecker(space)
-    someone_decides_zero_now = big_or(
-        decides_now(agent, 0) for agent in model.agents()
-    )
-    future_zero = EvEventually(someone_decides_zero_now)
-
+    one_conditions = _decide_one_conditions(space)
     final_rule = SynthesizedRule(model=model)
     for level in range(space.horizon + 1):
         zero_conditions = _decide_zero_conditions_at_level(space, level)
         states = space.levels[level]
         for agent in model.agents():
-            no_future_zero = Knows(agent, neg(future_zero))
-            knows_safe = checker.check_bits(no_future_zero)[level]
+            knows_safe = one_conditions[agent][level]
             groups = space.observation_groups(level, agent)
             reachable = set(groups)
             features_of = {

@@ -1,22 +1,16 @@
-"""Knowledge-based programs and implementation verification.
+"""Implementation verification for the paper's knowledge-based programs.
 
-* :mod:`repro.kbp.programs` — declarative descriptions of the paper's
-  knowledge-based programs ``P`` (SBA, Section 5) and ``P0`` (EBA,
-  Section 8).
-* :mod:`repro.kbp.implementation` — checking that a concrete decision
-  protocol implements a knowledge-based program: in the system generated by
-  the protocol, the protocol's concrete guards must be equivalent to the
-  program's knowledge guards.  This is the formal content of the paper's
-  "does the protocol decide at the earliest time the knowledge condition
-  holds" experiments.
+:mod:`repro.kbp.implementation` checks that a concrete decision protocol
+implements the SBA program ``P`` (Section 5) or the EBA program ``P0``
+(Section 8): in the system generated by the protocol, the protocol's
+concrete guards must be equivalent to the program's knowledge guards.  Both
+checks run one loop over the points of the protocol's space against per-level
+guard tables, whose knowledge conditions are the evaluators synthesis uses
+(:mod:`repro.core.synthesis`).  This is the formal content of the paper's
+"does the protocol decide at the earliest time the knowledge condition
+holds" experiments.
 """
 
-from repro.kbp.programs import (
-    GuardedCommand,
-    KnowledgeBasedProgram,
-    eba_program_p0,
-    sba_program_p,
-)
 from repro.kbp.implementation import (
     ImplementationMismatch,
     ImplementationReport,
@@ -25,10 +19,6 @@ from repro.kbp.implementation import (
 )
 
 __all__ = [
-    "GuardedCommand",
-    "KnowledgeBasedProgram",
-    "sba_program_p",
-    "eba_program_p0",
     "ImplementationMismatch",
     "ImplementationReport",
     "verify_sba_implementation",

@@ -22,20 +22,21 @@ Mismatches come in two flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 # The per-level evaluators are looked up on the synthesis module at call
 # time, so a test that substitutes them there (the set-oracle comparison)
 # reaches the verifiers too.
 from repro.core import synthesis
-from repro.core.checker import ModelChecker
 from repro.engines import DEFAULT_ENGINE, validate_engine
-from repro.logic.atoms import decides_now
-from repro.logic.builders import big_or, neg
-from repro.logic.formula import EvEventually, Knows
-from repro.systems.actions import NOOP
+from repro.systems.actions import NOOP, Action
 from repro.systems.model import BAModel
 from repro.systems.space import DecisionRule, LevelledSpace, build_space
+
+#: A program's guards at one level: per agent, ``(action, bits)`` pairs in
+#: priority order, where bit ``j`` of ``bits`` is set iff the guard of
+#: ``action`` holds at state ``j`` of the level.
+GuardTable = Dict[int, List[Tuple[Action, int]]]
 
 
 @dataclass(frozen=True)
@@ -101,30 +102,47 @@ class ImplementationReport:
         )
 
 
-def _record(
-    report: ImplementationReport,
-    seen: Set[Tuple],
-    kind: str,
-    agent: int,
-    time: int,
-    observation: Tuple,
-    protocol_action: Optional[int],
-    knowledge_action: Optional[int],
-) -> None:
-    key = (kind, agent, time, observation)
-    if key in seen:
-        return
-    seen.add(key)
-    report.mismatches.append(
-        ImplementationMismatch(
-            kind=kind,
-            agent=agent,
-            time=time,
-            observation=observation,
-            protocol_action=protocol_action,
-            knowledge_action=knowledge_action,
-        )
-    )
+def _check_points(
+    model: BAModel,
+    space: LevelledSpace,
+    program: str,
+    guards_at: Callable[[int], GuardTable],
+) -> ImplementationReport:
+    """Compare the protocol's actions in ``space`` with a program's guards.
+
+    At every point and for every agent that can still decide, the program's
+    action is that of the first guard in ``guards_at(level)`` that holds
+    (``NOOP`` if none does).  A disagreement is ``late`` when the protocol
+    does nothing and ``unsound`` otherwise; each is recorded once per
+    (kind, agent, time, observation).
+    """
+    report = ImplementationReport(program=program)
+    seen: Set[Tuple] = set()
+    for level, states in enumerate(space.levels):
+        guards = guards_at(level)
+        for index, state in enumerate(states):
+            joint_action = space.actions[level][index]
+            for agent in model.agents():
+                if state.locals[agent].decided or not model.can_act(state, agent):
+                    continue
+                report.points_checked += 1
+                for knowledge_action, bits in guards[agent]:
+                    if (bits >> index) & 1:
+                        break
+                else:
+                    knowledge_action = NOOP
+                protocol_action = joint_action[agent]
+                if protocol_action == knowledge_action:
+                    continue
+                kind = "late" if protocol_action is NOOP else "unsound"
+                key = (kind, agent, level, model.observation(state, agent))
+                if key in seen:
+                    continue
+                seen.add(key)
+                report.mismatches.append(
+                    ImplementationMismatch(*key, protocol_action, knowledge_action)
+                )
+    return report
 
 
 def verify_sba_implementation(
@@ -149,44 +167,15 @@ def verify_sba_implementation(
     validate_engine(engine)
     if space is None:
         space = build_space(model, rule, horizon=horizon, max_states=max_states)
-    report = ImplementationReport(program="P (SBA)")
-    seen: Set[Tuple] = set()
 
-    for level in range(len(space.levels)):
+    def guards_at(level: int) -> GuardTable:
         conditions = synthesis._level_knowledge_conditions(space, level)
-        for index, state in enumerate(space.levels[level]):
-            joint_action = space.actions[level][index]
-            for agent in model.agents():
-                local = state.locals[agent]
-                if local.decided or not model.can_act(state, agent):
-                    continue
-                report.points_checked += 1
-                knowledge_action = NOOP
-                for value in model.values():
-                    if (conditions[(agent, value)] >> index) & 1:
-                        knowledge_action = value
-                        break
-                protocol_action = joint_action[agent]
-                if protocol_action == knowledge_action:
-                    continue
-                observation = model.observation(state, agent)
-                if knowledge_action is not NOOP and protocol_action is NOOP:
-                    kind = "late"
-                elif knowledge_action is NOOP and protocol_action is not NOOP:
-                    kind = "unsound"
-                else:
-                    kind = "unsound"
-                _record(
-                    report,
-                    seen,
-                    kind,
-                    agent,
-                    level,
-                    observation,
-                    protocol_action,
-                    knowledge_action,
-                )
-    return report
+        return {
+            agent: [(value, conditions[(agent, value)]) for value in model.values()]
+            for agent in model.agents()
+        }
+
+    return _check_points(model, space, "P (SBA)", guards_at)
 
 
 def verify_eba_implementation(
@@ -207,49 +196,13 @@ def verify_eba_implementation(
     validate_engine(engine)
     if space is None:
         space = build_space(model, rule, horizon=horizon, max_states=max_states)
-    report = ImplementationReport(program="P0 (EBA)")
-    seen: Set[Tuple] = set()
-    checker = ModelChecker(space)
-    someone_decides_zero = big_or(decides_now(agent, 0) for agent in model.agents())
-    future_zero = EvEventually(someone_decides_zero)
-    # Packed bitsets: knows_safe[agent][level] has bit j set iff the agent
-    # knows at state j that no agent ever decides 0.
-    knows_safe: Dict[int, List[int]] = {
-        agent: checker.check_bits(Knows(agent, neg(future_zero)))
-        for agent in model.agents()
-    }
+    one_conditions = synthesis._decide_one_conditions(space)
 
-    for level in range(len(space.levels)):
+    def guards_at(level: int) -> GuardTable:
         zero_conditions = synthesis._decide_zero_conditions_at_level(space, level)
-        for index, state in enumerate(space.levels[level]):
-            joint_action = space.actions[level][index]
-            for agent in model.agents():
-                local = state.locals[agent]
-                if local.decided or not model.can_act(state, agent):
-                    continue
-                report.points_checked += 1
-                if (zero_conditions[agent] >> index) & 1:
-                    knowledge_action: Optional[int] = 0
-                elif (knows_safe[agent][level] >> index) & 1:
-                    knowledge_action = 1
-                else:
-                    knowledge_action = NOOP
-                protocol_action = joint_action[agent]
-                if protocol_action == knowledge_action:
-                    continue
-                observation = model.observation(state, agent)
-                if knowledge_action is not NOOP and protocol_action is NOOP:
-                    kind = "late"
-                else:
-                    kind = "unsound"
-                _record(
-                    report,
-                    seen,
-                    kind,
-                    agent,
-                    level,
-                    observation,
-                    protocol_action,
-                    knowledge_action,
-                )
-    return report
+        return {
+            agent: [(0, zero_conditions[agent]), (1, one_conditions[agent][level])]
+            for agent in model.agents()
+        }
+
+    return _check_points(model, space, "P0 (EBA)", guards_at)

@@ -4,7 +4,8 @@
   Simultaneous-Agreement(N), Validity(N) and Termination, both as formulas
   for the model checker and as run-level checks.
 * :mod:`repro.spec.eba` — Eventual Byzantine Agreement: Agreement(N),
-  Validity(N) and Termination.
+  Validity(N) and Termination, whose formulas are SBA's (EBA drops only
+  simultaneity), and the run-level check.
 * :mod:`repro.spec.optimality` — the order ``P <=_{E,F} P'`` over
   corresponding runs and the derived notions of optimal and optimum
   protocols (Section 4 of the paper).
@@ -12,7 +13,6 @@
 
 from repro.spec.sba import (
     sba_agreement_formula,
-    sba_knowledge_condition,
     sba_simultaneity_formula,
     sba_spec_formulas,
     sba_termination_formula,
@@ -20,13 +20,7 @@ from repro.spec.sba import (
     sba_validity_formula,
     check_sba_run,
 )
-from repro.spec.eba import (
-    eba_agreement_formula,
-    eba_spec_formulas,
-    eba_termination_formula,
-    eba_validity_formula,
-    check_eba_run,
-)
+from repro.spec.eba import check_eba_run, eba_spec_formulas
 from repro.spec.optimality import (
     OptimalityReport,
     RunComparison,
@@ -41,12 +35,8 @@ __all__ = [
     "sba_validity_formula",
     "sba_simultaneity_formula",
     "sba_termination_formula",
-    "sba_knowledge_condition",
     "sba_spec_formulas",
     "check_sba_run",
-    "eba_agreement_formula",
-    "eba_validity_formula",
-    "eba_termination_formula",
     "eba_spec_formulas",
     "check_eba_run",
     "OptimalityReport",

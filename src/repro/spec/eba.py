@@ -2,67 +2,31 @@
 
 EBA replaces Simultaneous-Agreement(N) by plain Agreement(N): nonfaulty
 agents that decide must decide the same value, but not necessarily in the
-same round (Section 8 of the paper).
+same round (Section 8 of the paper).  Its Agreement(N), Validity(N) and
+Termination formulas are therefore SBA's, without the simultaneity clause.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.logic.atoms import decided, decision_is, exists_value, nonfaulty
-from repro.logic.builders import AX_power, big_and, big_or, implies
-from repro.logic.formula import Always, Formula
-from repro.spec.sba import RunReport
+from repro.logic.formula import Formula
+from repro.spec.sba import (
+    RunReport,
+    sba_agreement_formula,
+    sba_termination_formula,
+    sba_validity_formula,
+)
 from repro.systems.model import BAModel
 from repro.systems.runs import Run
-
-
-def eba_agreement_formula(model: BAModel) -> Formula:
-    """``AG``: nonfaulty agents that have decided agree on the value."""
-    clauses = []
-    for agent_a in model.agents():
-        for agent_b in model.agents():
-            if agent_a >= agent_b:
-                continue
-            premise = big_and(
-                [
-                    nonfaulty(agent_a),
-                    decided(agent_a),
-                    nonfaulty(agent_b),
-                    decided(agent_b),
-                ]
-            )
-            same = big_or(
-                big_and([decision_is(agent_a, value), decision_is(agent_b, value)])
-                for value in model.values()
-            )
-            clauses.append(implies(premise, same))
-    return Always(big_and(clauses))
-
-
-def eba_validity_formula(model: BAModel) -> Formula:
-    """``AG``: every decided value is the initial preference of some agent."""
-    clauses = []
-    for agent in model.agents():
-        for value in model.values():
-            clauses.append(implies(decision_is(agent, value), exists_value(value)))
-    return Always(big_and(clauses))
-
-
-def eba_termination_formula(model: BAModel, horizon: int) -> Formula:
-    """``AX^horizon``: every nonfaulty agent has decided by the horizon."""
-    goal = big_and(
-        implies(nonfaulty(agent), decided(agent)) for agent in model.agents()
-    )
-    return AX_power(horizon, goal)
 
 
 def eba_spec_formulas(model: BAModel, horizon: int) -> Dict[str, Formula]:
     """The full set of EBA specification formulas, keyed by name."""
     return {
-        "agreement": eba_agreement_formula(model),
-        "validity": eba_validity_formula(model),
-        "termination": eba_termination_formula(model, horizon),
+        "agreement": sba_agreement_formula(model),
+        "validity": sba_validity_formula(model),
+        "termination": sba_termination_formula(model, horizon),
     }
 
 

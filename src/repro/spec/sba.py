@@ -1,9 +1,10 @@
 """The Simultaneous Byzantine Agreement specification.
 
 Formulas follow the ``spec_obs`` statements in the paper's appendix script:
-agreement among non-failed agents, uniform agreement, validity, termination,
-and the knowledge condition ``B^N_i CB_N ∃v`` used by the knowledge-based
-program.  Run-level checks of the same properties are provided for the
+agreement among non-failed agents, uniform agreement, validity, simultaneity
+and termination.  (The knowledge condition ``B^N_i CB_N ∃v`` of the
+knowledge-based program is :func:`repro.logic.builders.common_belief_exists`.)
+Run-level checks of the same properties are provided for the
 explicit-run machinery (property-based tests and optimality comparisons).
 """
 
@@ -18,13 +19,7 @@ from repro.logic.atoms import (
     exists_value,
     nonfaulty,
 )
-from repro.logic.builders import (
-    AX_power,
-    big_and,
-    big_or,
-    common_belief_exists,
-    implies,
-)
+from repro.logic.builders import AX_power, big_and, big_or, implies
 from repro.logic.formula import Always, Formula, Iff
 from repro.systems.model import BAModel
 from repro.systems.runs import Run
@@ -103,11 +98,6 @@ def sba_termination_formula(model: BAModel, horizon: int) -> Formula:
         implies(nonfaulty(agent), decided(agent)) for agent in model.agents()
     )
     return AX_power(horizon, goal)
-
-
-def sba_knowledge_condition(agent: int, value: int) -> Formula:
-    """The decision condition of program ``P``: ``B^N_i CB_N ∃v``."""
-    return common_belief_exists(agent, value)
 
 
 def sba_spec_formulas(model: BAModel, horizon: int) -> Dict[str, Formula]:

@@ -27,7 +27,10 @@ import urllib.request
 import pytest
 
 import repro
+from repro.api.artefact_store import ArtefactStore
+from repro.api.scenario import Scenario
 from repro.api.service import make_server
+from repro.api.session import Session
 
 #: src/ directory for subprocess PYTHONPATH (tests may run from anywhere).
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -437,3 +440,60 @@ def test_a_store_that_cannot_be_opened_stops_the_front(tmp_path, workers):
         capture_output=True, text=True, env=_env(), timeout=10,
     )
     assert result.returncode != 0
+
+
+def test_serve_rejects_a_store_bound_below_one_before_it_binds(tmp_path):
+    # The workers open the bounded store; the bound is still checked in
+    # the parent, so a library caller gets the error instead of a front
+    # whose workers keep failing to start.
+    program = ("from repro.api.service import serve; "
+               f"serve(port=0, store_dir={str(tmp_path)!r}, store_max_entries=0)")
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                            text=True, env=_env(), timeout=10)
+    assert result.returncode != 0
+    assert "ValueError" in result.stderr
+    assert "listening" not in result.stdout
+
+
+def test_sigterm_during_the_preload_shuts_the_front_down_cleanly():
+    env = _env()
+    env["REPRO_SERVE_PRELOAD_DELAY"] = "3.0"  # signal inside the preload
+    process, _ = _start_front("--preload", "table1:max-n=3", env=env)
+    try:
+        time.sleep(0.5)
+        signalled = time.monotonic()
+        process.send_signal(signal.SIGTERM)
+        stdout, _ = process.communicate(timeout=30)
+        assert time.monotonic() - signalled < 5.0
+    finally:
+        _stop(process)
+    assert process.returncode == 0
+    assert "repro serve: shut down" in stdout
+
+
+def test_each_worker_counts_only_its_own_startup_compaction(tmp_path):
+    store = tmp_path / "store"
+    session = Session(store=ArtefactStore(store))
+    for agents in (2, 3):
+        for op in ("check", "synthesize"):
+            session.query(op, Scenario(exchange="floodset",
+                                       num_agents=agents, max_faulty=1))
+    assert len(list((store / "results").iterdir())) == 4
+
+    process, url = _start_front("--workers", "2", "--store", str(store),
+                                "--store-max-entries", "1")
+    try:
+        deadline = time.time() + 30
+        while time.time() < deadline:
+            _, stats = _get(url + "/stats")
+            if set(stats["workers"]) == {"worker-0", "worker-1"}:
+                break
+            time.sleep(0.1)
+    finally:
+        _stop(process)
+    views = [record["cache"]["store"] for record in stats["workers"].values()]
+    assert len(views) == 2
+    assert sum(view["compacted"] for view in views) == 3
+    assert [view["compactions"] for view in views] == [1, 1]
+    assert stats["aggregate"]["store"]["compacted"] == 3
+    assert len(list((store / "results").iterdir())) == 1

@@ -17,7 +17,6 @@ from repro.spec import (
     compare_protocols,
     eba_spec_formulas,
     never_later,
-    sba_knowledge_condition,
     sba_spec_formulas,
     strictly_earlier_somewhere,
 )
@@ -63,11 +62,6 @@ class TestSBAFormulas:
         checker = ModelChecker(space)
         formulas = sba_spec_formulas(floodset_model, space.horizon)
         assert not checker.holds_initially(formulas["agreement"])
-
-    def test_knowledge_condition_shape(self):
-        condition = sba_knowledge_condition(1, 0)
-        assert condition.agent == 1
-        assert condition.has_knowledge()
 
 
 class TestSBARunChecks:
